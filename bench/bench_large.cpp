@@ -196,8 +196,6 @@ int main(int argc, char** argv) {
   // digits (the packet walk's net drift velocity puts delivery around
   // distance/|v|) while Lambda*t stays in the low thousands; the stiff
   // Lambda*t ~ 1e5 regime lives in the dedicated steady-state section below.
-  // The smoke grid deliberately stays under the backward-until threshold so
-  // the lane also exercises the forward fan-out route end to end.
   const std::vector<WorkloadSpec> specs =
       smoke ? std::vector<WorkloadSpec>{{"grid:width=24,height=24", "delivered", 10.0},
                                         {"crowd:population=30", "outbreak", 5.0},

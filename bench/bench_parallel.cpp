@@ -8,7 +8,7 @@
 //      contiguous axpy, no parallelism) so the restructuring gain is
 //      recorded alongside the thread scaling;
 //   2. transient_distribution — the Fox-Glynn uniformization series with the
-//      row-parallel SpMV on a large queue;
+//      row-chunked blocked SpMV on a large queue;
 //   3. checker_until_fanout  — a full per-state Until check through the
 //      checker layer.
 //

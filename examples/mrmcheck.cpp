@@ -4,17 +4,18 @@
 //            [u=<w> | d=<step>] [--threads N] [NP] "<CSRL formula>"
 //   mrmcheck <model.spec> [u=<w> | d=<step>] [--threads N] [NP] "<CSRL formula>"
 //
-// Reads an MRM from the four file formats (or builds it from a
-// guarded-command .spec file, see src/lang/spec.hpp), checks the formula,
+// Options may appear anywhere on the command line. Reads an MRM from the
+// four file formats (or builds it from a guarded-command .spec file, see
+// src/lang/spec.hpp), checks the formula,
 // and prints the satisfying states (and, unless NP is given, the computed
 // per-state probabilities for the outermost S/P/R operator). Defaults to
 // uniformization with w = 1e-8, exactly like the original tool.
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "checker/sat.hpp"
 #include "io/model_files.hpp"
@@ -38,7 +39,7 @@ void usage() {
                "       mrmcheck --model-gen=<family:k=v,...> [options] \"<CSRL formula>\"\n"
                "\n"
                "  --model-gen=<spec>  build the model from a streamed generator instead\n"
-               "            of model files (must be the first argument). Families:\n"
+               "            of model files. Families:\n"
                "            grid  (mesh network:   width, height, hop, drift, energy, power)\n"
                "            crowd (epidemic:       population, contact, recovery,\n"
                "                                   treatment, outbreak)\n"
@@ -86,6 +87,8 @@ void usage() {
                "            print it — ops, sharing, chosen until engines — and exit\n"
                "            without checking anything\n"
                "  NP        do not print per-state probabilities\n"
+               "\n"
+               "options may come before, between or after the model files and the formula\n"
                "\n"
                "formula syntax (appendix of the thesis, plus the R extension):\n"
                "  TT FF ! && || S(op p) f P(op p)[f U[t1,t2][r1,r2] f]\n"
@@ -231,37 +234,6 @@ int main(int argc, char** argv) {
   }
 
   try {
-    int arg = 1;
-    std::string model_gen;
-    if (std::string(argv[1]).rfind("--model-gen=", 0) == 0) {
-      model_gen = std::string(argv[1]).substr(12);
-      if (model_gen.empty()) {
-        std::fprintf(stderr, "mrmcheck: --model-gen= expects family:key=value,...\n");
-        return 2;
-      }
-      ++arg;
-    }
-    const bool from_spec = model_gen.empty() && ends_with(argv[1], ".spec");
-    std::string tra;
-    std::string lab;
-    std::string rewr;
-    std::string rewi;
-    std::string spec_path;
-    if (!model_gen.empty()) {
-      // the generator spec replaces every positional model argument
-    } else if (from_spec) {
-      spec_path = argv[arg++];
-    } else {
-      if (argc < 5) {
-        usage();
-        return 2;
-      }
-      tra = argv[arg++];
-      lab = argv[arg++];
-      rewr = argv[arg++];
-      if (arg < argc && std::strstr(argv[arg], ".rewi") != nullptr) rewi = argv[arg++];
-    }
-
     checker::CheckerOptions options;
     bool print_probabilities = true;
     bool strict = false;
@@ -269,11 +241,17 @@ int main(int argc, char** argv) {
     bool stats_requested = obs::stats_enabled();  // CSRLMRM_STATS env var
     std::string stats_path;
     std::string formulas_path;
-    bool have_formula = false;
-    std::string formula_text;
-    for (; arg < argc; ++arg) {
+    std::string model_gen;
+    std::vector<std::string> positional;  // the model files, then the formula
+    for (int arg = 1; arg < argc; ++arg) {
       const std::string token = argv[arg];
-      if (token.rfind("u=", 0) == 0) {
+      if (token.rfind("--model-gen=", 0) == 0) {
+        model_gen = token.substr(12);
+        if (model_gen.empty()) {
+          std::fprintf(stderr, "mrmcheck: --model-gen= expects family:key=value,...\n");
+          return 2;
+        }
+      } else if (token.rfind("u=", 0) == 0) {
         options.until_method = checker::UntilMethod::kUniformization;
         if (!parse_positive_double(token.substr(2), "u=",
                                    options.uniformization.truncation_probability)) {
@@ -372,15 +350,43 @@ int main(int argc, char** argv) {
         return 2;
       } else if (token == "NP") {
         print_probabilities = false;
-      } else if (!have_formula) {
-        formula_text = token;
-        have_formula = true;
       } else {
-        std::fprintf(stderr, "mrmcheck: unexpected argument '%s' (formula already given as '%s')\n",
-                     token.c_str(), formula_text.c_str());
-        usage();
-        return 2;
+        positional.push_back(token);
       }
+    }
+
+    // Options may appear anywhere; among the positional arguments the model
+    // comes first (nothing with --model-gen, one .spec file, or .tra .lab
+    // .rewr [.rewi]), then the formula.
+    std::size_t next = 0;
+    std::string tra;
+    std::string lab;
+    std::string rewr;
+    std::string rewi;
+    std::string spec_path;
+    if (model_gen.empty()) {
+      if (!positional.empty() && ends_with(positional[0], ".spec")) {
+        spec_path = positional[next++];
+      } else {
+        if (positional.size() < 3) {
+          usage();
+          return 2;
+        }
+        tra = positional[next++];
+        lab = positional[next++];
+        rewr = positional[next++];
+        if (next < positional.size() && positional[next].find(".rewi") != std::string::npos) {
+          rewi = positional[next++];
+        }
+      }
+    }
+    const bool have_formula = next < positional.size();
+    const std::string formula_text = have_formula ? positional[next++] : std::string();
+    if (next < positional.size()) {
+      std::fprintf(stderr, "mrmcheck: unexpected argument '%s' (formula already given as '%s')\n",
+                   positional[next].c_str(), formula_text.c_str());
+      usage();
+      return 2;
     }
     if (formulas_path.empty() ? (!have_formula || formula_text.empty()) : have_formula) {
       if (!formulas_path.empty()) {
@@ -405,9 +411,9 @@ int main(int argc, char** argv) {
       }
     }
 
-    const core::Mrm model = !model_gen.empty() ? models::make_generated_mrm(model_gen)
-                            : from_spec        ? load_spec_model(spec_path)
-                                               : io::load_mrm(tra, lab, rewr, rewi);
+    const core::Mrm model = !model_gen.empty()   ? models::make_generated_mrm(model_gen)
+                            : !spec_path.empty() ? load_spec_model(spec_path)
+                                                 : io::load_mrm(tra, lab, rewr, rewi);
     std::printf("model: %zu states, %zu transitions, impulse rewards: %s\n",
                 model.num_states(), model.rates().matrix().non_zeros(),
                 model.has_impulse_rewards() ? "yes" : "no");

@@ -8,7 +8,6 @@
 #include "checker/performability.hpp"
 #include "checker/steady.hpp"
 #include "obs/stats.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace csrlmrm::checker {
 
@@ -143,21 +142,9 @@ std::vector<double> expected_reward_values(const core::Mrm& model,
                                            const logic::ExpectedRewardFormula& node,
                                            const SatSets* operand,
                                            const CheckerOptions& options) {
-  const std::size_t n = model.num_states();
   switch (node.query) {
-    case logic::RewardQuery::kCumulative: {
-      // One occupation-time series per start state, all independent: fan
-      // out over the pool (inner series run serial when nested).
-      std::vector<double> values(n, 0.0);
-      const unsigned threads = parallel::resolve_thread_count(options.threads);
-      parallel::parallel_for(n, threads, [&](std::size_t begin, std::size_t end) {
-        for (core::StateIndex s = begin; s < end; ++s) {
-          values[s] =
-              expected_accumulated_reward(model, s, node.time_horizon, options.transient);
-        }
-      });
-      return values;
-    }
+    case logic::RewardQuery::kCumulative:
+      return expected_accumulated_rewards(model, node.time_horizon, options.transient);
     case logic::RewardQuery::kReachability:
       if (operand == nullptr) {
         throw std::invalid_argument("expected_reward_values: reachability needs operand sets");
@@ -178,7 +165,7 @@ RewardEvaluation evaluate_reward_operator(const core::Mrm& model,
   result.bounds.resize(n);
   switch (node.query) {
     case logic::RewardQuery::kCumulative: {
-      // The occupation-time series truncates the Poisson sum, losing at most
+      // The reward series truncates the Poisson tail, losing at most
       // epsilon * t of residence mass; each lost unit earns at most the
       // largest gain rate, so the truth lies in [v, v + eps * t * max gain].
       result.values = expected_reward_values(model, node, operand, options);

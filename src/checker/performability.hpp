@@ -11,7 +11,8 @@
 // (each unit of expected residence in s earns rho(s) directly and triggers
 // transitions s -> s' at rate R(s,s'), each paying its impulse), and the
 // long-run reward rate substitutes the steady-state distribution for the
-// occupation-time profile.
+// occupation-time profile. The sum runs backward — one series over the gain
+// vector answers every start state (numeric::expected_accumulated_rates).
 #pragma once
 
 #include <vector>
@@ -46,8 +47,13 @@ std::vector<PerformabilityValue> performability_cdf(const core::Mrm& model,
                                                     const std::vector<double>& reward_bounds,
                                                     const CheckerOptions& options = {});
 
-/// E[Y(t)]: expected reward accumulated during [0, t] from `start`,
-/// including impulse rewards.
+/// E[Y(t)]: expected reward accumulated during [0, t], including impulse
+/// rewards, for every start state at once (one backward series over the
+/// gain rates, see numeric::expected_accumulated_rates).
+std::vector<double> expected_accumulated_rewards(const core::Mrm& model, double t,
+                                                 const numeric::TransientOptions& options = {});
+
+/// expected_accumulated_rewards for one start state.
 double expected_accumulated_reward(const core::Mrm& model, core::StateIndex start, double t,
                                    const numeric::TransientOptions& options = {});
 

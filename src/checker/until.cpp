@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 
 #include "core/transform.hpp"
@@ -20,13 +19,6 @@
 namespace csrlmrm::checker {
 
 namespace {
-
-/// Model size from which the P1 class switches from the per-start forward
-/// fan-out to one backward column series (numeric::transient_hit_probabilities).
-/// The backward sum associates the same series differently, so results differ
-/// in the last ulps; the threshold keeps every small-model expectation (and
-/// all cross-engine pinned tests) on the historical forward path.
-constexpr std::size_t kBackwardUntilMinStates = 4096;
 
 void require_masks(const core::Mrm& model, const std::vector<bool>& sat_phi,
                    const std::vector<bool>& sat_psi) {
@@ -111,21 +103,20 @@ AutoEngineChoice choose_until_engine(const core::Mrm& transformed, double t,
                                      const CheckerOptions& options) {
   AutoEngineChoice choice;
   const std::size_t n = transformed.num_states();
-  std::size_t live = 0;
   for (core::StateIndex s = 0; s < n; ++s) {
-    if (transformed.rates().exit_rate(s) > 0.0) ++live;
+    if (transformed.rates().exit_rate(s) > 0.0) ++choice.live_states;
   }
   const double mean = transformed.rates().max_exit_rate() * t;
   // Pr{N > levels} <= w: no uniformization engine looks past this epoch, and
   // even a perfectly merging frontier processes at least one class per live
   // state per level, so live * levels lower-bounds any engine's node count.
-  const std::size_t levels =
+  choice.poisson_levels =
       mean > 0.0 ? numeric::poisson_truncation_point(
                        mean, options.uniformization.truncation_probability)
                  : 0;
   if (options.on_budget_exhausted != BudgetPolicy::kThrow &&
       !transformed.has_impulse_rewards() &&
-      static_cast<double>(live) * static_cast<double>(levels) >
+      static_cast<double>(choice.live_states) * static_cast<double>(choice.poisson_levels) >
           static_cast<double>(options.uniformization.max_nodes)) {
     // Uniformization is provably over budget before exploring anything, and
     // without impulse rewards a valid discretization step always exists —
@@ -369,36 +360,44 @@ std::vector<UntilValue> until_probabilities(const core::Mrm& model,
                                               logic::Interval(0.0, t2 - t1),
                                               logic::Interval{}, options, transforms);
 
-    // Phase-one distributions for every Phi-state at once: the uniformized
-    // matrix and Fox-Glynn window are built once, the start states fan out
-    // over the thread pool.
-    std::vector<core::StateIndex> phi_states;
-    for (core::StateIndex s = 0; s < n; ++s) {
-      if (sat_phi[s]) phi_states.push_back(s);
+    // Phase one, backward: one series per residual component f, masked to
+    // Phi, gives E[f(X(t1)) | X(0) = s] in M[!Phi] for every start s at once.
+    // Components that coincide (lower == probability whenever the residual
+    // is exact on the low side) share one series.
+    enum Component { kProbability, kError, kLower, kUpper, kComponents };
+    std::vector<std::vector<double>> terminal(kComponents, std::vector<double>(n, 0.0));
+    for (core::StateIndex mid = 0; mid < n; ++mid) {
+      if (!sat_phi[mid]) continue;
+      terminal[kProbability][mid] = residual[mid].probability;
+      terminal[kError][mid] = residual[mid].error_bound;
+      terminal[kLower][mid] = residual[mid].bound.lower;
+      terminal[kUpper][mid] = residual[mid].bound.upper;
     }
-    const auto at_t1_rows = numeric::transient_distributions_from_states(
-        phase_one.rates(), phi_states, t1, options.transient);
+    std::vector<numeric::TransientResult> at_t1(kComponents);
+    for (int c = 0; c < kComponents; ++c) {
+      const auto same = std::find(terminal.begin(), terminal.begin() + c, terminal[c]);
+      at_t1[c] = same != terminal.begin() + c
+                     ? at_t1[same - terminal.begin()]
+                     : numeric::transient_expectations(phase_one.rates(), terminal[c], t1,
+                                                       options.transient);
+    }
 
     std::vector<UntilValue> values(n);
-    for (std::size_t i = 0; i < phi_states.size(); ++i) {
-      const auto& at_t1 = at_t1_rows[i];
-      double probability = 0.0;
-      double error = options.transient.epsilon;
+    const double lost = options.transient.epsilon;  // one-sided Fox-Glynn loss
+    for (core::StateIndex s = 0; s < n; ++s) {
+      if (!sat_phi[s]) continue;
       // Interval arithmetic over the convex combination: the phase-one
       // weights underestimate by at most epsilon of total mass (Fox-Glynn
-      // truncation only loses terms), and each residual contributes its own
-      // enclosure, so [sum w * lo, sum w * hi + epsilon] contains the truth.
-      double lower = 0.0;
-      double upper = options.transient.epsilon;
-      for (core::StateIndex mid = 0; mid < n; ++mid) {
-        if (!sat_phi[mid] || core::exactly_zero(at_t1[mid])) continue;
-        probability += at_t1[mid] * residual[mid].probability;
-        error += at_t1[mid] * residual[mid].error_bound;
-        lower += at_t1[mid] * residual[mid].bound.lower;
-        upper += at_t1[mid] * residual[mid].bound.upper;
-      }
-      values[phi_states[i]] = {probability, error,
-                               ProbabilityBound{std::max(0.0, lower), std::min(1.0, upper)}};
+      // truncation only loses terms), each residual contributes its own
+      // enclosure, and each series' steady-state fold is two-sided, so
+      // [lower - fold, upper + epsilon + fold] contains the truth.
+      const double probability = at_t1[kProbability].values[s];
+      const double error = lost + at_t1[kError].values[s] + at_t1[kError].steady_error +
+                           at_t1[kProbability].steady_error;
+      const double lower = at_t1[kLower].values[s] - at_t1[kLower].steady_error;
+      const double upper = lost + at_t1[kUpper].values[s] + at_t1[kUpper].steady_error;
+      values[s] = {probability, error,
+                   ProbabilityBound{std::max(0.0, lower), std::min(1.0, upper)}};
     }
     return values;
   }
@@ -420,46 +419,23 @@ std::vector<UntilValue> until_probabilities(const core::Mrm& model,
     for (core::StateIndex s = 0; s < n; ++s) absorb[s] = !sat_phi[s] || sat_psi[s];
     const auto transformed_ptr = absorbing_model(model, absorb, transforms);
     const core::Mrm& transformed = *transformed_ptr;
+    // One backward column series u_{k+1} = P u_k answers every start state
+    // at once. Since Psi is absorbing in M[!Phi v Psi], the hit probability
+    // at t equals the until probability.
+    const auto hit = numeric::transient_hit_probabilities(
+        transformed.rates(), sat_psi, time_bound.upper(), options.transient);
+    const double lost = options.transient.epsilon;  // one-sided Fox-Glynn loss
+    const double steady = hit.steady_error;         // two-sided fold error
     std::vector<UntilValue> values(n);
-    std::vector<core::StateIndex> starts;
     for (core::StateIndex s = 0; s < n; ++s) {
       if (sat_psi[s]) {
         values[s] = exact_until_value(1.0);  // absorbed Psi start: case 1 of eq. (3.6)
-      } else {
-        starts.push_back(s);
+        continue;
       }
-    }
-    if (n >= kBackwardUntilMinStates) {
-      // One backward column series u_{k+1} = P u_k answers every start state
-      // at once in O(nnz * terms), where the per-start fan-out below costs a
-      // full series per start — quadratic at a million states. Since Psi is
-      // absorbing in M[!Phi v Psi], the hit probability at t equals the
-      // until probability. The backward sum is a numerically different
-      // (equally valid) association of the same series, so it only engages
-      // above a size where no pinned small-model expectation can change.
-      const auto hit = numeric::transient_hit_probabilities(
-          transformed.rates(), sat_psi, time_bound.upper(), options.transient);
-      const double lost = options.transient.epsilon;  // one-sided Fox-Glynn loss
-      const double steady = hit.steady_error;         // two-sided fold error
-      for (const core::StateIndex s : starts) {
-        const double p = hit.values[s];
-        // True value lies in [p - steady, p + lost + steady]; with detection
-        // off (steady == 0) this is the usual truncation enclosure.
-        values[s] = {p, lost + steady,
-                     ProbabilityBound::from_point_error(p, steady, lost + steady)};
-      }
-      return values;
-    }
-    const auto distributions = numeric::transient_distributions_from_states(
-        transformed.rates(), starts, time_bound.upper(), options.transient);
-    for (std::size_t i = 0; i < starts.size(); ++i) {
-      double p = 0.0;
-      for (core::StateIndex s2 = 0; s2 < n; ++s2) {
-        if (sat_psi[s2]) p += distributions[i][s2];
-      }
-      // Fox-Glynn truncation only loses Poisson mass: the true value lies in
-      // [p, p + epsilon].
-      values[starts[i]] = truncated_until_value(p, options.transient.epsilon);
+      const double p = hit.values[s];
+      // True value lies in [p - steady, p + lost + steady]; with detection
+      // off (steady == 0) this is the usual truncation enclosure.
+      values[s] = {p, lost + steady, ProbabilityBound::from_point_error(p, steady, lost + steady)};
     }
     return values;
   }

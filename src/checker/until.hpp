@@ -70,6 +70,10 @@ struct AutoEngineChoice {
   /// True iff engine == kClassDp: auto always arms the hybrid escalation so
   /// merge-hostile instances hand off mid-query instead of losing to DFPG.
   bool adaptive_hybrid = false;
+  /// The cost model's inputs, for the plan printer: non-absorbing states of
+  /// the transformed model and the Poisson truncation depth at horizon t.
+  std::size_t live_states = 0;
+  std::size_t poisson_levels = 0;
 };
 
 /// The up-front cost model behind --until-engine=auto, resolved per P2 query
@@ -84,8 +88,8 @@ struct AutoEngineChoice {
 ///      per-path Omega evaluation, which only the DFS engine implements;
 ///   3. classdp with adaptive_hybrid otherwise (the common case): batched
 ///      merging where it pays, coarsening/DFS hand-off where it does not.
-/// Deterministic, O(states), and exported so benchmarks can record the
-/// choice the checker would make. The decision lands in the
+/// Deterministic, O(states), and exported so the plan compiler and the
+/// benchmarks can record the choice the checker would make. The decision lands in the
 /// `engine.auto_choice.{classdp,dfpg,discretization}` counters when the
 /// checker applies it.
 AutoEngineChoice choose_until_engine(const core::Mrm& transformed, double t,

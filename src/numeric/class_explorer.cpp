@@ -1,10 +1,7 @@
 #include "numeric/class_explorer.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstdint>
 #include <cstring>
 #include <numeric>
@@ -309,7 +306,6 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
   };
 
   std::vector<std::size_t> offsets;
-  const bool trace = std::getenv("CSRLMRM_CLASSDP_TRACE") != nullptr;
 
   for (std::size_t level = 0; !frontier.empty(); ++level) {
     ++levels;
@@ -411,13 +407,6 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
     });
     classes_merged += sort_and_fold(scratch_raw, scratch_merged, sig_len, slots, order);
     frontier.swap(scratch_merged);
-    // Calibration aid (how kAdaptMinRawRows / kAdaptStreak were chosen):
-    // per-level raw row count and fold ratio on stderr.
-    if (trace) {
-      std::fprintf(stderr, "level=%zu raw=%zu folded=%zu ratio=%.3f%s\n", level, total,
-                   frontier.size(), total ? double(frontier.size()) / double(total) : 0.0,
-                   coarse ? " coarse" : "");
-    }
 
     // Adaptive escalation: ratio and row counts are thread-invariant, so the
     // trigger fires at the same level for every thread count.
@@ -453,9 +442,6 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
           ++coarsenings;
           classes_merged += sort_and_fold(scratch_raw, scratch_merged, sig_len, slots, order);
           frontier.swap(scratch_merged);
-          if (trace) {
-            std::fprintf(stderr, "level=%zu coarsened folded=%zu\n", level, frontier.size());
-          }
           // One more ineffective level (not a fresh streak) escalates again.
           ineffective_streak = kAdaptStreak - 1;
         } else {
@@ -487,7 +473,6 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
   // results stay bitwise identical at every thread count.
   if (handoff) {
     ++handoffs;
-    const auto handoff_start = std::chrono::steady_clock::now();
     const std::size_t roots = frontier.size();
     // Poisson pmf per level over the tail table's range (bitwise the same
     // values as the sweep's per-level poisson_pmf calls); the rare deeper
@@ -669,13 +654,6 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
       harvest_sigs.insert(harvest_sigs.end(), cs.harvest_sigs.begin(), cs.harvest_sigs.end());
       harvest_mass.insert(harvest_mass.end(), cs.harvest_mass.begin(), cs.harvest_mass.end());
       for (std::size_t i = 0; i < slots; ++i) results[i].error_bound += cs.error[i];
-    }
-    if (trace) {
-      std::fprintf(stderr, "handoff level=%zu roots=%zu nodes=%zu ms=%.1f\n", handoff_level,
-                   roots, nodes - base_nodes,
-                   std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                            handoff_start)
-                       .count());
     }
   }
 

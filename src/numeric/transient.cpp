@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "core/approx.hpp"
 #include "core/simd.hpp"
@@ -16,13 +16,6 @@
 namespace csrlmrm::numeric {
 
 namespace {
-
-/// Model size from which a series repacks its gather matrix into the blocked
-/// SELL-C layout (linalg/blocked_csr.hpp): below this the one-off repack
-/// costs more than the few dozen products save; above it the halved index
-/// bandwidth and SIMD chunk accumulation win (BENCH_large.json records the
-/// crossover). Bitwise-neutral either way, so the threshold only moves time.
-constexpr std::size_t kBlockedSpmvMinStates = 2048;
 
 void require_distribution(const core::RateMatrix& rates, const std::vector<double>& initial) {
   if (initial.size() != rates.num_states()) {
@@ -44,57 +37,65 @@ void require_time(double t) {
   }
 }
 
-/// One step of term = term * P (forward) or u = P * u (backward), driven by
-/// whichever operator the entry point prepared: the blocked gather for large
-/// models, the row-parallel CSR gather, or the serial scatter. All three
-/// accumulate every output entry in the same ascending source order, so the
-/// choice is bitwise-invisible (tests/test_blocked_spmv.cpp pins this).
-struct SeriesAdvance {
-  const linalg::CsrMatrix* scatter = nullptr;         // serial x^T * P
-  const linalg::CsrMatrix* gather = nullptr;          // row-parallel gather
-  const linalg::BlockedCsrMatrix* blocked = nullptr;  // blocked gather
-  unsigned threads = 1;
-
-  void operator()(std::vector<double>& term, std::vector<double>& scratch) const {
-    if (blocked != nullptr) {
-      blocked->multiply_into(term, scratch, threads);
-    } else if (gather != nullptr) {
-      gather->multiply_into(term, scratch, threads);
-    } else {
-      scatter->left_multiply_into(term, scratch);
-    }
-    term.swap(scratch);
+/// The blocked gather needs finite inputs (see linalg/blocked_csr.hpp).
+void require_finite_vector(const core::RateMatrix& rates, const std::vector<double>& vector) {
+  if (vector.size() != rates.num_states()) {
+    throw std::invalid_argument("transient: per-state vector size mismatch");
   }
-};
+  for (const double v : vector) {
+    if (!std::isfinite(v)) throw std::invalid_argument("transient: non-finite per-state value");
+  }
+}
 
 /// Norm the steady-state criterion contracts in: the forward (row-vector)
 /// iteration is non-expansive in the 1-norm, the backward (column-vector)
 /// iteration in the max norm. Either norm bounds every per-state error.
 enum class SteadyNorm { kL1, kMax };
 
-/// Body of every uniformization series: accumulate the Fox-Glynn-weighted
-/// terms, optionally cutting the series once successive iterates have
-/// stabilized. With detection off the operation sequence is exactly the
-/// historical one, so results are bitwise unchanged.
-TransientResult accumulate_series(const SeriesAdvance& advance, const FoxGlynnWeights& window,
+/// The weights of one series: term k enters with weights[k - first] for k in
+/// [first, last()], and not at all before `first`.
+struct SeriesWeights {
+  std::size_t first = 0;
+  std::vector<double> weights;
+
+  std::size_t last() const { return first + weights.size() - 1; }
+};
+
+/// The normalized Fox-Glynn probabilities of the window [left, right].
+SeriesWeights poisson_weights(FoxGlynnWeights window) {
+  for (double& w : window.weights) w /= window.total_weight;
+  return {window.left, std::move(window.weights)};
+}
+
+/// Body of every uniformization series: term_k = A^k x_0 through the blocked
+/// gather over `gather` (P for the backward series, P^T for the forward
+/// one), accumulated with `series` weights and optionally cut once
+/// successive iterates have stabilized. With detection off the operation
+/// sequence is the plain truncated sum.
+TransientResult accumulate_series(const linalg::CsrMatrix& gather, const SeriesWeights& series,
                                   std::vector<double> initial, const TransientOptions& options,
                                   SteadyNorm norm) {
+  const linalg::BlockedCsrMatrix blocked(gather);
+  const std::size_t last = series.last();
+  const unsigned threads =
+      parallel::choose_thread_count(options.threads, gather.non_zeros() * (last + 1));
   TransientResult out;
-  std::vector<double> term = std::move(initial);  // p(0) * P^i (or P^i * u0)
+  std::vector<double> term = std::move(initial);  // A^i * x_0
   std::vector<double> scratch(term.size(), 0.0);
   out.values.assign(term.size(), 0.0);
-  for (std::size_t i = 0; i <= window.right; ++i) {
+  for (std::size_t i = 0; i <= last; ++i) {
     ++out.series_terms;
-    if (i >= window.left) {
-      const double weight = window.probability(i - window.left);
-      core::simd::axpy(out.values.data(), term.data(), out.values.size(), weight);
+    if (i >= series.first) {
+      core::simd::axpy(out.values.data(), term.data(), out.values.size(),
+                       series.weights[i - series.first]);
     }
-    if (i == window.right) break;
-    advance(term, scratch);
+    if (i == last) break;
+    blocked.multiply_into(term, scratch, threads);
+    term.swap(scratch);
     // After the swap `scratch` holds the previous iterate, so the
     // steady-state test compares successive terms without extra storage.
-    if (options.detect_steady_state && i + 1 < window.right) {
-      const std::size_t remaining = window.right - (i + 1);
+    if (options.detect_steady_state && i + 1 < last) {
+      const std::size_t remaining = last - (i + 1);
       double delta = 0.0;
       if (norm == SteadyNorm::kL1) {
         for (std::size_t s = 0; s < term.size(); ++s) delta += std::abs(term[s] - scratch[s]);
@@ -110,8 +111,8 @@ TransientResult accumulate_series(const SeriesAdvance& advance, const FoxGlynnWe
         // iterate therefore closes the series with a per-state error of at
         // most steady_error — accounted into the caller's interval.
         double tail_mass = 0.0;
-        for (std::size_t k = std::max(window.left, i + 1); k <= window.right; ++k) {
-          tail_mass += window.probability(k - window.left);
+        for (std::size_t k = std::max(series.first, i + 1); k <= last; ++k) {
+          tail_mass += series.weights[k - series.first];
         }
         core::simd::axpy(out.values.data(), term.data(), out.values.size(), tail_mass);
         out.steady_error = delta * static_cast<double>(remaining);
@@ -164,32 +165,12 @@ TransientResult transient_distribution_checked(const core::RateMatrix& rates,
 
   double lambda = 0.0;
   const linalg::CsrMatrix P = uniformized_transition_matrix(rates, lambda);
-
   // Fox-Glynn window and weights: only the [left, right] Poisson terms
   // carry mass above the tolerance; normalizing by the weight total keeps
-  // the result an (eps-accurate) distribution.
-  const auto window = fox_glynn(lambda * t, options.epsilon);
-
-  const unsigned threads =
-      parallel::choose_thread_count(options.threads, P.non_zeros() * (window.right + 1));
-  std::optional<linalg::CsrMatrix> transpose;
-  std::optional<linalg::BlockedCsrMatrix> blocked;
-  SeriesAdvance advance;
-  advance.threads = threads;
-  const bool parallel_gather = threads > 1 && !parallel::in_parallel_region();
-  const bool large = rates.num_states() >= kBlockedSpmvMinStates;
-  if (parallel_gather || large) {
-    transpose = P.transposed();
-    if (large) {
-      blocked.emplace(*transpose);
-      advance.blocked = &*blocked;
-    } else {
-      advance.gather = &*transpose;
-    }
-  } else {
-    advance.scatter = &P;
-  }
-  return accumulate_series(advance, window, initial, options, SteadyNorm::kL1);
+  // the result an (eps-accurate) distribution. The row-vector product
+  // p * P is the gather over P^T.
+  return accumulate_series(P.transposed(), poisson_weights(fox_glynn(lambda * t, options.epsilon)),
+                           initial, options, SteadyNorm::kL1);
 }
 
 std::vector<double> transient_distribution(const core::RateMatrix& rates,
@@ -209,158 +190,74 @@ std::vector<double> transient_distribution_from(const core::RateMatrix& rates,
   return transient_distribution(rates, initial, t, options);
 }
 
-std::vector<std::vector<double>> transient_distributions_from_states(
-    const core::RateMatrix& rates, const std::vector<core::StateIndex>& starts, double t,
-    const TransientOptions& options) {
-  obs::ScopedTimer timer("transient.distributions_from_states");
-  obs::counter_add("transient.calls", starts.size());
+TransientResult transient_expectations(const core::RateMatrix& rates,
+                                       std::vector<double> terminal, double t,
+                                       const TransientOptions& options) {
+  obs::ScopedTimer timer("transient.expectations");
+  obs::counter_add("transient.calls");
+  require_finite_vector(rates, terminal);
   require_time(t);
-  const std::size_t n = rates.num_states();
-  for (const core::StateIndex start : starts) {
-    if (start >= n) {
-      throw std::invalid_argument("transient_distributions_from_states: start out of range");
-    }
-  }
-  std::vector<std::vector<double>> results(starts.size());
-  if (starts.empty()) return results;
-
   if (core::exactly_zero(t) || core::exactly_zero(rates.max_exit_rate())) {
-    for (std::size_t i = 0; i < starts.size(); ++i) {
-      results[i].assign(n, 0.0);
-      results[i][starts[i]] = 1.0;
-    }
-    return results;
-  }
-
-  double lambda = 0.0;
-  const linalg::CsrMatrix P = uniformized_transition_matrix(rates, lambda);
-  const auto window = fox_glynn(lambda * t, options.epsilon);
-
-  // This fan-out returns bare vectors with no error accounting beyond the
-  // Fox-Glynn epsilon, so the steady-state cut (whose extra error callers
-  // could not see) is forced off for every row.
-  TransientOptions row_options = options;
-  row_options.detect_steady_state = false;
-  SeriesAdvance serial;
-  serial.scatter = &P;
-
-  // Fan out over start states; every state runs the serial series (nested
-  // regions stay inline), so chunking cannot change any row's result.
-  const unsigned threads = parallel::choose_thread_count(
-      options.threads, starts.size() * P.non_zeros() * (window.right + 1));
-  parallel::parallel_for(starts.size(), threads, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      std::vector<double> initial(n, 0.0);
-      initial[starts[i]] = 1.0;
-      results[i] =
-          accumulate_series(serial, window, std::move(initial), row_options, SteadyNorm::kL1)
-              .values;
-    }
-  });
-  return results;
-}
-
-TransientResult transient_hit_probabilities(const core::RateMatrix& rates,
-                                            const std::vector<bool>& target, double t,
-                                            const TransientOptions& options) {
-  obs::ScopedTimer timer("transient.hit_probabilities");
-  obs::counter_add("transient.hit_calls");
-  const std::size_t n = rates.num_states();
-  if (target.size() != n) {
-    throw std::invalid_argument("transient_hit_probabilities: target mask size mismatch");
-  }
-  require_time(t);
-
-  std::vector<double> indicator(n, 0.0);
-  for (std::size_t s = 0; s < n; ++s) {
-    if (target[s]) indicator[s] = 1.0;
-  }
-  TransientResult out;
-  if (core::exactly_zero(t) || core::exactly_zero(rates.max_exit_rate())) {
-    out.values = std::move(indicator);  // the chain never leaves its start
+    TransientResult out;
+    out.values = std::move(terminal);  // the chain never leaves its start
     return out;
   }
 
   double lambda = 0.0;
   const linalg::CsrMatrix P = uniformized_transition_matrix(rates, lambda);
-  const auto window = fox_glynn(lambda * t, options.epsilon);
-
-  // The backward series gathers over P itself (u_{k+1} = P u_k): no
-  // transpose is ever materialized.
-  const unsigned threads =
-      parallel::choose_thread_count(options.threads, P.non_zeros() * (window.right + 1));
-  std::optional<linalg::BlockedCsrMatrix> blocked;
-  SeriesAdvance advance;
-  advance.threads = threads;
-  if (n >= kBlockedSpmvMinStates) {
-    blocked.emplace(P);
-    advance.blocked = &*blocked;
-  } else {
-    advance.gather = &P;
-  }
-  return accumulate_series(advance, window, std::move(indicator), options, SteadyNorm::kMax);
+  return accumulate_series(P, poisson_weights(fox_glynn(lambda * t, options.epsilon)),
+                           std::move(terminal), options, SteadyNorm::kMax);
 }
 
-std::vector<double> expected_occupation_times(const core::RateMatrix& rates,
-                                              const std::vector<double>& initial, double t,
-                                              const TransientOptions& options) {
-  obs::ScopedTimer timer("transient.expected_occupation_times");
-  obs::counter_add("transient.occupation_calls");
-  require_distribution(rates, initial);
+TransientResult transient_hit_probabilities(const core::RateMatrix& rates,
+                                            const std::vector<bool>& target, double t,
+                                            const TransientOptions& options) {
+  if (target.size() != rates.num_states()) {
+    throw std::invalid_argument("transient_hit_probabilities: target mask size mismatch");
+  }
+  std::vector<double> indicator(target.size(), 0.0);
+  for (std::size_t s = 0; s < target.size(); ++s) {
+    if (target[s]) indicator[s] = 1.0;
+  }
+  return transient_expectations(rates, std::move(indicator), t, options);
+}
+
+std::vector<double> expected_accumulated_rates(const core::RateMatrix& rates,
+                                               std::vector<double> rate, double t,
+                                               const TransientOptions& options) {
+  obs::ScopedTimer timer("transient.accumulated_rates");
+  obs::counter_add("transient.calls");
+  require_finite_vector(rates, rate);
   require_time(t);
   const std::size_t n = rates.num_states();
   if (core::exactly_zero(t)) return std::vector<double>(n, 0.0);
   if (core::exactly_zero(rates.max_exit_rate())) {
-    // Nothing moves: all time is spent where the chain starts.
-    std::vector<double> result(n, 0.0);
-    for (std::size_t s = 0; s < n; ++s) result[s] = initial[s] * t;
-    return result;
+    // Nothing moves: every start accrues its own rate for the whole horizon.
+    for (double& r : rate) r *= t;
+    return rate;
   }
 
   double lambda = 0.0;
   const linalg::CsrMatrix P = uniformized_transition_matrix(rates, lambda);
   const double mean = lambda * t;
 
-  // E[L_s(t)] = (1/Lambda) sum_{k>=0} Pr{N_t >= k+1} (p0 P^k)_s. The tail
-  // weights sum to E[N_t] = Lambda t; truncate once the remaining tail mass
-  // contributes less than epsilon * t.
+  // The tail weights Pr{N_t >= k+1} / Lambda sum to E[N_t] / Lambda = t;
+  // truncate once the remaining tail mass contributes less than epsilon * t.
   PoissonCdfTable tail_table(mean);
   const std::size_t hard_cap =
       poisson_truncation_point(mean, options.epsilon / (mean + 1.0)) + 1;
-
-  const unsigned threads =
-      parallel::choose_thread_count(options.threads, P.non_zeros() * hard_cap);
-  std::optional<linalg::CsrMatrix> transpose;
-  std::optional<linalg::BlockedCsrMatrix> blocked;
-  SeriesAdvance advance;
-  advance.threads = threads;
-  const bool parallel_gather = threads > 1 && !parallel::in_parallel_region();
-  const bool large = n >= kBlockedSpmvMinStates;
-  if (parallel_gather || large) {
-    transpose = P.transposed();
-    if (large) {
-      blocked.emplace(*transpose);
-      advance.blocked = &*blocked;
-    } else {
-      advance.gather = &*transpose;
-    }
-  } else {
-    advance.scatter = &P;
-  }
-
-  std::vector<double> term = initial;
-  std::vector<double> scratch(n, 0.0);
-  std::vector<double> result(n, 0.0);
-  std::size_t terms = 0;
+  SeriesWeights series;
   for (std::size_t k = 0; k <= hard_cap; ++k) {
     const double weight = tail_table.tail(k + 1) / lambda;
     if (weight <= 0.0) break;
-    ++terms;
-    core::simd::axpy(result.data(), term.data(), n, weight);
-    advance(term, scratch);
+    series.weights.push_back(weight);
   }
-  obs::counter_add("transient.series_terms", terms);
-  return result;
+  if (series.weights.empty()) return std::vector<double>(n, 0.0);
+  // The fold bound assumes weights summing to at most 1, which occupation
+  // weights (summing to t) do not satisfy: this series always runs in full.
+  TransientOptions full = options;
+  full.detect_steady_state = false;
+  return accumulate_series(P, series, std::move(rate), full, SteadyNorm::kMax).values;
 }
 
 }  // namespace csrlmrm::numeric

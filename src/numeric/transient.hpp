@@ -7,11 +7,17 @@
 // Theorem 4.1 + [Bai03]) and the reference oracle several property tests
 // compare the reward engines against.
 //
-// The Poisson series ping-pongs two preallocated buffers (no per-term
-// allocation). With threads > 1 the vector-matrix product runs row-parallel
-// over P^T (the gather form accumulates every output entry in the same
-// ascending-source order as the serial scatter, so parallel results are
-// bitwise-identical to serial ones).
+// The checker answers every query with one BACKWARD series u = sum_k w_k
+// P^k v (transient_expectations, expected_accumulated_rates): only the
+// terminal vector v and the weights w_k differ between query types. The
+// forward distribution API stays as the reference oracle tests and benches
+// compare against.
+//
+// Every series ping-pongs two preallocated buffers (no per-term allocation)
+// through the blocked SELL-C gather (linalg/blocked_csr.hpp), over P for the
+// backward form and over P^T for the forward one. The gather accumulates
+// every output entry in ascending source order, so results are bitwise
+// identical at every thread count.
 #pragma once
 
 #include <vector>
@@ -25,9 +31,8 @@ namespace csrlmrm::numeric {
 struct TransientOptions {
   /// Total truncation error budget for the Poisson sum.
   double epsilon = 1e-12;
-  /// Worker threads for the series' matrix-vector products and for batched
-  /// per-start-state fan-out; 0 = the process default (CSRLMRM_THREADS or
-  /// hardware concurrency).
+  /// Worker threads for the series' matrix-vector products; 0 = the process
+  /// default (CSRLMRM_THREADS or hardware concurrency).
   unsigned threads = 0;
   /// Steady-state detection (Malhotra '94 / Reibman-Trivedi '88 style): once
   /// successive series terms differ by delta with
@@ -46,8 +51,8 @@ struct TransientOptions {
 
 /// A transient solve plus the accounting a sound interval verdict needs.
 struct TransientResult {
-  /// The per-state result vector (a distribution for the forward series, hit
-  /// probabilities for the backward series).
+  /// The per-state result vector (a distribution for the forward series,
+  /// per-start expectations of the terminal vector for the backward series).
   std::vector<double> values;
   /// Bound on the additional two-sided per-state error introduced by the
   /// steady-state fold; 0.0 when detection is off or never fired. The
@@ -75,15 +80,24 @@ TransientResult transient_distribution_checked(const core::RateMatrix& rates,
                                                const std::vector<double>& initial, double t,
                                                const TransientOptions& options = {});
 
-/// Backward uniformization: values[s] = Pr{ X(t) is in `target` | X(0) = s }
-/// for EVERY state s, from one column-vector series u_{k+1} = P u_k started
-/// at the indicator of `target` — O(nnz * terms) total, where the forward
-/// route costs one full series per start state. For an absorbing target set
-/// (the P1 until transform M[!Phi v Psi]) this is the probability of
-/// reaching `target` within t. The per-state truncation error is bounded by
+/// The one backward uniformization series every checker query runs:
+/// values[s] = E[ terminal(X(t)) | X(0) = s ] for EVERY state s, from one
+/// column-vector series u_{k+1} = P u_k started at `terminal` — O(nnz *
+/// terms) total, where the forward route costs one full series per start
+/// state. `terminal` must be finite, one entry per state. For terminal
+/// entries in [0,1] the per-state truncation error is bounded by
 /// options.epsilon (one-sided, lost mass) plus the reported steady_error
 /// (two-sided) when detection fires; the backward iteration contracts in the
-/// max norm, which makes the steady-state criterion sound here.
+/// max norm, which makes the steady-state criterion sound for any terminal
+/// vector. Throws std::invalid_argument on bad inputs.
+TransientResult transient_expectations(const core::RateMatrix& rates,
+                                       std::vector<double> terminal, double t,
+                                       const TransientOptions& options = {});
+
+/// transient_expectations at the indicator of `target`: values[s] =
+/// Pr{ X(t) is in `target` | X(0) = s }. For an absorbing target set (the P1
+/// until transform M[!Phi v Psi]) this is the probability of reaching
+/// `target` within t.
 TransientResult transient_hit_probabilities(const core::RateMatrix& rates,
                                             const std::vector<bool>& target, double t,
                                             const TransientOptions& options = {});
@@ -93,28 +107,24 @@ std::vector<double> transient_distribution_from(const core::RateMatrix& rates,
                                                 core::StateIndex start, double t,
                                                 const TransientOptions& options = {});
 
-/// Transient distributions from many start states at the same horizon t:
-/// result[i] is the distribution started from starts[i]. The uniformized
-/// matrix and Fox-Glynn window are computed once and shared; the start
-/// states fan out over the thread pool (options.threads), each running the
-/// serial series, so every row is bitwise-identical to the corresponding
-/// transient_distribution_from call.
-std::vector<std::vector<double>> transient_distributions_from_states(
-    const core::RateMatrix& rates, const std::vector<core::StateIndex>& starts, double t,
-    const TransientOptions& options = {});
-
 /// The uniformized one-step matrix P = I + Q/Lambda with Lambda = max exit
 /// rate (1 for an all-absorbing chain); `lambda_out` receives Lambda. Shared
 /// by the transient solver and the expected-reward measures.
 linalg::CsrMatrix uniformized_transition_matrix(const core::RateMatrix& rates,
                                                 double& lambda_out);
 
-/// Expected occupation times E[L_s(t)] = E[ time spent in s during [0,t] ]
-/// for every state, started from `initial`; computed by uniformization via
-/// int_0^t PoissonPmf(k; Lambda u) du = Pr{N_t >= k+1} / Lambda. The entries
-/// sum to t.
-std::vector<double> expected_occupation_times(const core::RateMatrix& rates,
-                                              const std::vector<double>& initial, double t,
-                                              const TransientOptions& options = {});
+/// Expected accumulated rate E[ int_0^t rate(X(u)) du | X(0) = s ] for
+/// every state s, from one backward series with the occupation-time weights
+/// int_0^t PoissonPmf(k; Lambda u) du = Pr{N_t >= k+1} / Lambda:
+///
+///   values = sum_{k>=0} Pr{N_t >= k+1} / Lambda * P^k rate.
+///
+/// `rate` must be finite, one entry per state. The series stops once the
+/// remaining weight is below epsilon * t / (Lambda t + 1), so the lost
+/// occupation mass is at most epsilon * t per state. rate = 1 gives t;
+/// rate = e_j gives the expected occupation time of state j.
+std::vector<double> expected_accumulated_rates(const core::RateMatrix& rates,
+                                               std::vector<double> rate, double t,
+                                               const TransientOptions& options = {});
 
 }  // namespace csrlmrm::numeric

@@ -13,7 +13,6 @@
 #include "core/transform.hpp"
 #include "logic/number_format.hpp"
 #include "obs/stats.hpp"
-#include "plan/cost_model.hpp"
 
 namespace csrlmrm::plan {
 
@@ -84,11 +83,7 @@ std::vector<bool> transform_mask(TransformShape shape, const checker::SatSets& p
 class Lowerer {
  public:
   Lowerer(const core::Mrm& model, const PlanOptions& plan_options, Plan& plan)
-      : model_(model), plan_options_(plan_options), plan_(plan) {
-    if (plan_options_.adaptive_cost_model) {
-      history_ = CostModelHistory::from_global_stats();
-    }
-  }
+      : model_(model), plan_options_(plan_options), plan_(plan) {}
 
   OpId lower(const logic::FormulaPtr& formula) {
     if (!formula) throw std::invalid_argument("plan::compile: null formula");
@@ -267,14 +262,10 @@ class Lowerer {
           plan_.transforms
               ? plan_.transforms->absorbing(model_, absorb)
               : std::make_shared<const core::Mrm>(core::make_absorbing(model_, absorb));
-      const EnginePrediction prediction =
-          predict_until_engine(*transformed, node.time_bound.upper(), plan_.options,
-                               history_, plan_options_.adaptive_cost_model);
+      // The run-time rule itself, so plan and direct check cannot disagree.
       op.engine_known = true;
-      op.engine_choice = prediction.choice;
-      op.engine_history_adjusted = prediction.history_adjusted;
-      op.predicted_live = prediction.live_states;
-      op.predicted_levels = prediction.poisson_levels;
+      op.engine_choice =
+          checker::choose_until_engine(*transformed, node.time_bound.upper(), plan_.options);
       ++plan_.engines_pinned;
     }
     return intern(key, std::move(op), std::nullopt);
@@ -348,7 +339,6 @@ class Lowerer {
   /// Parallel to plan_.ops: the compile-time satisfaction result, when the
   /// op has one (see intern()).
   std::vector<std::optional<checker::SatSets>> known_;
-  CostModelHistory history_;
 };
 
 }  // namespace

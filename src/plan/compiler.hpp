@@ -13,8 +13,8 @@
 //      operand sets are compile-time computable;
 //   4. engine selection — P2-class until ops with compile-time-known
 //      operands and --until-engine=auto get their engine resolved now by
-//      the cost model (plan/cost_model.hpp), so the executor can pin the
-//      choice and --explain can report it.
+//      the run-time cost model (checker::choose_until_engine), so the
+//      executor can pin the choice and --explain can report it.
 //
 // Compilation runs no numeric solves; it is O(batch size + transforms).
 #pragma once
@@ -46,10 +46,6 @@ struct PlanOptions {
   bool lumping = false;
   /// Compile-time engine resolution for eligible until ops (pass 4).
   bool engine_selection = true;
-  /// Let recorded engine counters (CostModelHistory::from_global_stats)
-  /// adjust the static engine choice. Off by default: a history-adjusted pin
-  /// may differ from what a direct check would pick.
-  bool adaptive_cost_model = false;
   /// When set (and hoist_transforms is on), the compiled plan uses this
   /// TransformCache instead of a fresh one, so transforms built by earlier
   /// compilations of the SAME model stay warm — mrmcheckd binds one cache per

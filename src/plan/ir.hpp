@@ -115,15 +115,8 @@ struct PlanOp {
   /// sound because the prediction runs checker::choose_until_engine on the
   /// identical transformed model.
   bool engine_known = false;
+  /// The pinned choice, with the cost-model inputs the printer reports.
   checker::AutoEngineChoice engine_choice;
-  /// True when recorded history (PlanOptions::adaptive_cost_model) overrode
-  /// the static heuristic; such a pin may diverge from what a direct check
-  /// would pick, which is why the knob is opt-in.
-  bool engine_history_adjusted = false;
-  /// Cost-model inputs, for the printer: non-absorbing states of the
-  /// transformed model and the Poisson truncation depth at the op's horizon.
-  std::size_t predicted_live = 0;
-  std::size_t predicted_levels = 0;
 };
 
 /// A compiled batch. Bound to the model and options it was compiled against;

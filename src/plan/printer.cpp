@@ -32,9 +32,8 @@ void append_engine(std::string& line, const PlanOp& op) {
   } else {
     line += "dfpg";
   }
-  append(line, " (live=", std::to_string(op.predicted_live),
-         " levels=", std::to_string(op.predicted_levels), ")");
-  if (op.engine_history_adjusted) line += " {history-adjusted}";
+  append(line, " (live=", std::to_string(op.engine_choice.live_states),
+         " levels=", std::to_string(op.engine_choice.poisson_levels), ")");
 }
 
 std::string op_line(OpId id, const PlanOp& op) {

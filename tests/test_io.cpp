@@ -243,6 +243,25 @@ TEST_F(MrmcheckCli, RejectsSecondFormulaArgument) {
   EXPECT_EQ(run(model_args_ + " 'TT' 'FF'"), 2);
 }
 
+// Options are accepted before the model files too: with --stats=f.json
+// first, the .rewi file must not be mistaken for a second formula.
+TEST_F(MrmcheckCli, AcceptsOptionsBeforeTheModelFiles) {
+  const std::string stats_file = (directory_ / "leading_stats.json").string();
+  EXPECT_EQ(run("--stats='" + stats_file + "' --threads 2 u=1e-8 " + model_args_ +
+                " NP 'P(>0.1)[Sup U[0,50] failed]'"),
+            0);
+  std::ifstream in(stats_file);
+  EXPECT_TRUE(in.is_open());
+  // Options between the model files and the formula, too.
+  const std::string models = CSRLMRM_EXAMPLE_MODELS_DIR;
+  EXPECT_EQ(run("'" + models + "/tmr.tra' '" + models + "/tmr.lab' NP '" + models +
+                "/tmr.rewr' --threads=1 '" + models + "/tmr.rewi' 'S(<0.9) allUp'"),
+            0);
+  EXPECT_EQ(run("--threads 1 '" + models + "/queue.spec' NP 'P(>0.5)[TT U[0,2] full]'"), 0);
+  // A second formula is still rejected wherever the options sit.
+  EXPECT_EQ(run("--threads 1 " + model_args_ + " 'TT' 'FF'"), 2);
+}
+
 TEST_F(MrmcheckCli, RejectsMissingFormula) {
   EXPECT_EQ(run(model_args_ + " NP"), 2);
 }

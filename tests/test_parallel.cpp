@@ -1,7 +1,7 @@
 // Serial/parallel equivalence and determinism for the thread-pool layer and
 // every kernel that fans out over it: the discretization level sweep, the
-// uniformization series (transient distribution / occupation times), and
-// full per-state Until checks through the checker. All parallel kernels are
+// uniformization series (forward distribution, backward expectations and
+// reward series), and full per-state Until checks through the checker. All parallel kernels are
 // designed so that each output element is produced by exactly one task in
 // the same floating-point order as the serial code, so the assertions can
 // demand bitwise equality, stronger than the 1e-12 acceptance bound.
@@ -13,12 +13,15 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
+#include "checker/performability.hpp"
 #include "checker/until.hpp"
 #include "core/transform.hpp"
+#include "models/generator.hpp"
 #include "models/random_mrm.hpp"
 #include "numeric/discretization.hpp"
 #include "numeric/transient.hpp"
@@ -29,6 +32,11 @@ namespace {
 
 constexpr std::uint32_t kNumModels = 50;
 const unsigned kThreadCounts[] = {1, 2, 8};
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
 
 models::RandomMrmConfig small_config() {
   models::RandomMrmConfig config;
@@ -186,40 +194,78 @@ TEST(ParallelTransient, DistributionMatchesSerialOnRandomMrms) {
 TEST(ParallelTransient, OccupationTimesMatchSerial) {
   for (std::uint32_t seed = 0; seed < 10; ++seed) {
     const core::Mrm model = models::make_random_mrm(seed, small_config());
-    std::vector<double> initial(model.num_states(), 0.0);
-    initial[0] = 1.0;
+    std::vector<double> rate(model.num_states(), 0.0);
+    for (std::size_t s = 0; s < rate.size(); ++s) rate[s] = model.state_reward(s);
     numeric::TransientOptions serial;
     serial.threads = 1;
-    const auto reference =
-        numeric::expected_occupation_times(model.rates(), initial, 2.0, serial);
+    const auto reference = numeric::expected_accumulated_rates(model.rates(), rate, 2.0, serial);
     numeric::TransientOptions options;
     options.threads = 8;
-    const auto result = numeric::expected_occupation_times(model.rates(), initial, 2.0, options);
-    for (std::size_t s = 0; s < result.size(); ++s) {
-      EXPECT_NEAR(result[s], reference[s], 1e-12) << "seed=" << seed << " s=" << s;
+    const auto result = numeric::expected_accumulated_rates(model.rates(), rate, 2.0, options);
+    EXPECT_TRUE(bitwise_equal(result, reference)) << "seed=" << seed;
+  }
+}
+
+// One backward series per target state reconstructs every start state's
+// transient distribution; each row must match the forward single-start
+// oracle at every thread count.
+TEST(ParallelTransient, BatchedStartStatesMatchSingleRuns) {
+  const core::Mrm model = models::make_random_mrm(3, small_config());
+  const std::size_t n = model.num_states();
+  numeric::TransientOptions serial;
+  serial.threads = 1;
+  for (const unsigned threads : kThreadCounts) {
+    numeric::TransientOptions options;
+    options.threads = threads;
+    std::vector<std::vector<double>> columns;  // columns[j][s] = Pr{X(1.5) = j | X(0) = s}
+    for (std::size_t j = 0; j < n; ++j) {
+      std::vector<double> unit(n, 0.0);
+      unit[j] = 1.0;
+      columns.push_back(
+          numeric::transient_expectations(model.rates(), unit, 1.5, options).values);
+    }
+    for (core::StateIndex start = 0; start < n; ++start) {
+      const auto single = numeric::transient_distribution_from(model.rates(), start, 1.5, serial);
+      for (std::size_t j = 0; j < n; ++j) {
+        EXPECT_NEAR(columns[j][start], single[j], 1e-12)
+            << "threads=" << threads << " start=" << start << " j=" << j;
+      }
     }
   }
 }
 
-TEST(ParallelTransient, BatchedStartStatesMatchSingleRuns) {
-  const core::Mrm model = models::make_random_mrm(3, small_config());
-  std::vector<core::StateIndex> starts(model.num_states());
-  std::iota(starts.begin(), starts.end(), 0);
-  for (const unsigned threads : kThreadCounts) {
-    numeric::TransientOptions options;
-    options.threads = threads;
-    const auto rows =
-        numeric::transient_distributions_from_states(model.rates(), starts, 1.5, options);
-    ASSERT_EQ(rows.size(), starts.size());
-    numeric::TransientOptions serial;
-    serial.threads = 1;
-    for (std::size_t i = 0; i < starts.size(); ++i) {
-      const auto single =
-          numeric::transient_distribution_from(model.rates(), starts[i], 1.5, serial);
-      for (std::size_t s = 0; s < single.size(); ++s) {
-        EXPECT_NEAR(rows[i][s], single[s], 1e-12)
-            << "threads=" << threads << " start=" << starts[i] << " s=" << s;
+/// Every query the backward series answers — P1 (Phi U[0,t] Psi), P1'
+/// (Phi U[t1,t2] Psi) and R[C[0,t]] — must be bitwise identical at 1, 2 and
+/// 8 threads, on the random MRMs and on a 576-state grid where the series'
+/// products really split into several row chunks.
+TEST(ParallelUntil, BackwardSeriesQueriesAreBitwiseAcrossThreads) {
+  std::vector<core::Mrm> workload;
+  for (std::uint32_t seed = 0; seed < kNumModels; ++seed) {
+    workload.push_back(models::make_random_mrm(seed, small_config()));
+  }
+  workload.push_back(models::make_generated_mrm("grid:width=24,height=24"));
+  for (std::size_t m = 0; m < workload.size(); ++m) {
+    const core::Mrm& model = workload[m];
+    std::vector<bool> phi, psi;
+    make_masks(model, static_cast<std::uint32_t>(m), phi, psi);
+    const auto run = [&](unsigned threads) {
+      checker::CheckerOptions options;
+      options.threads = threads;
+      std::vector<double> flat;
+      for (const logic::Interval& time : {logic::up_to(1.5), logic::Interval(0.5, 2.0)}) {
+        for (const auto& v :
+             checker::until_probabilities(model, phi, psi, time, logic::Interval{}, options)) {
+          flat.insert(flat.end(), {v.probability, v.error_bound, v.bound.lower, v.bound.upper});
+        }
       }
+      const auto rewards = checker::expected_accumulated_rewards(model, 2.0, options.transient);
+      flat.insert(flat.end(), rewards.begin(), rewards.end());
+      return flat;
+    };
+    const auto reference = run(1);
+    for (const unsigned threads : {2u, 8u}) {
+      EXPECT_TRUE(bitwise_equal(run(threads), reference)) << "model=" << m
+                                                          << " threads=" << threads;
     }
   }
 }

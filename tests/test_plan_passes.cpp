@@ -16,7 +16,6 @@
 #include "numeric/conditional.hpp"
 #include "obs/stats.hpp"
 #include "plan/compiler.hpp"
-#include "plan/cost_model.hpp"
 #include "plan/executor.hpp"
 
 namespace csrlmrm {
@@ -105,7 +104,9 @@ TEST_F(PlanPasses, CseOffLowersEveryOccurrenceSeparately) {
   const plan::Plan with_cse = plan::compile(model, batch, options);
   EXPECT_GT(compiled.ops.size(), with_cse.ops.size());
   for (const auto& op : compiled.ops) {
-    if (op.kind == plan::OpKind::kUntilSolve) EXPECT_LE(op.uses, 1u);
+    if (op.kind == plan::OpKind::kUntilSolve) {
+      EXPECT_LE(op.uses, 1u);
+    }
   }
 }
 
@@ -180,7 +181,6 @@ TEST_F(PlanPasses, CostModelPinMatchesRuntimeAutoChoiceOnTmr) {
   EXPECT_EQ(until->engine_choice.method, checker::UntilMethod::kUniformization);
   EXPECT_EQ(until->engine_choice.engine, checker::UntilEngine::kClassDp);
   EXPECT_TRUE(until->engine_choice.adaptive_hybrid);
-  EXPECT_FALSE(until->engine_history_adjusted);
 
   obs::StatsRegistry::global().reset();
   checker::ModelChecker direct(model, options);
@@ -205,8 +205,8 @@ TEST_F(PlanPasses, CostModelPinMatchesRuntimeAutoChoiceOnNmr) {
   ASSERT_NE(until, nullptr);
   ASSERT_TRUE(until->engine_known);
   EXPECT_EQ(until->engine_choice.engine, checker::UntilEngine::kClassDp);
-  EXPECT_GT(until->predicted_live, 0u);
-  EXPECT_GT(until->predicted_levels, 0u);
+  EXPECT_GT(until->engine_choice.live_states, 0u);
+  EXPECT_GT(until->engine_choice.poisson_levels, 0u);
 
   obs::StatsRegistry::global().reset();
   checker::ModelChecker direct(model, options);
@@ -224,11 +224,24 @@ TEST_F(PlanPasses, CostModelPredictsDiscretizationWhenOverBudget) {
   checker::CheckerOptions options;
   options.uniformization.max_nodes = 1;  // guaranteed over budget
   options.on_budget_exhausted = checker::BudgetPolicy::kFallbackToDiscretization;
-  const plan::EnginePrediction prediction =
-      plan::predict_until_engine(model, 10.0, options, plan::CostModelHistory{}, false);
-  EXPECT_EQ(prediction.choice.method, checker::UntilMethod::kDiscretization);
-  EXPECT_FALSE(prediction.history_adjusted);
-  EXPECT_EQ(prediction.choice.method, checker::choose_until_engine(model, 10.0, options).method);
+  const checker::AutoEngineChoice choice = checker::choose_until_engine(model, 10.0, options);
+  EXPECT_EQ(choice.method, checker::UntilMethod::kDiscretization);
+  // The over-budget decision reports the inputs that proved it.
+  EXPECT_GT(choice.live_states * choice.poisson_levels, options.uniformization.max_nodes);
+
+  // The plan compiler pins exactly that decision. With Phi = tt and
+  // Psi = ff nothing is made absorbing, so the transformed model is `model`.
+  const auto batch = parse_batch({"P(>0.1)[tt U[0,10][0,3] ff]"});
+  const plan::Plan compiled = plan::compile(model, batch, options);
+  const plan::PlanOp* until = nullptr;
+  for (const auto& op : compiled.ops) {
+    if (op.kind == plan::OpKind::kUntilSolve) until = &op;
+  }
+  ASSERT_NE(until, nullptr);
+  ASSERT_TRUE(until->engine_known);
+  EXPECT_EQ(until->engine_choice.method, checker::UntilMethod::kDiscretization);
+  EXPECT_EQ(until->engine_choice.live_states, choice.live_states);
+  EXPECT_EQ(until->engine_choice.poisson_levels, choice.poisson_levels);
 }
 
 // The per-path ablation (aggregate_signatures off) only DFPG implements.
@@ -236,77 +249,10 @@ TEST_F(PlanPasses, CostModelFollowsSignatureAblationToDfpg) {
   const core::Mrm model = models::make_tmr();
   checker::CheckerOptions options;
   options.uniformization.aggregate_signatures = false;
-  const plan::EnginePrediction prediction =
-      plan::predict_until_engine(model, 100.0, options, plan::CostModelHistory{}, false);
-  EXPECT_EQ(prediction.choice.method, checker::UntilMethod::kUniformization);
-  EXPECT_EQ(prediction.choice.engine, checker::UntilEngine::kDfpg);
-}
-
-// Adaptive mode: a fallback-heavy class-DP history demotes the static pick
-// to DFPG; a clean or thin history leaves it alone; static mode ignores the
-// history entirely.
-TEST_F(PlanPasses, AdaptiveHistoryDemotesFallbackHeavyClassDp) {
-  const core::Mrm model = models::make_tmr();
-  checker::CheckerOptions options;
-
-  plan::CostModelHistory bad;
-  bad.auto_classdp = 4;
-  bad.classdp_fallbacks = 2;  // half the runs fell back
-  const auto demoted = plan::predict_until_engine(model, 100.0, options, bad, true);
-  EXPECT_EQ(demoted.choice.engine, checker::UntilEngine::kDfpg);
-  EXPECT_TRUE(demoted.history_adjusted);
-  EXPECT_NE(demoted.rationale.find("history"), std::string::npos);
-
-  plan::CostModelHistory thin;
-  thin.auto_classdp = 3;  // below the 4-run confidence floor
-  thin.classdp_fallbacks = 3;
-  const auto kept_thin = plan::predict_until_engine(model, 100.0, options, thin, true);
-  EXPECT_EQ(kept_thin.choice.engine, checker::UntilEngine::kClassDp);
-  EXPECT_FALSE(kept_thin.history_adjusted);
-
-  plan::CostModelHistory clean;
-  clean.auto_classdp = 100;
-  clean.classdp_fallbacks = 1;
-  const auto kept_clean = plan::predict_until_engine(model, 100.0, options, clean, true);
-  EXPECT_EQ(kept_clean.choice.engine, checker::UntilEngine::kClassDp);
-  EXPECT_FALSE(kept_clean.history_adjusted);
-
-  const auto static_pick = plan::predict_until_engine(model, 100.0, options, bad, false);
-  EXPECT_EQ(static_pick.choice.engine, checker::UntilEngine::kClassDp);
-  EXPECT_FALSE(static_pick.history_adjusted);
-}
-
-// History-adjusted pins reach the plan only under the opt-in flag.
-TEST_F(PlanPasses, AdaptiveCostModelIsOptInAtCompileTime) {
-  const core::Mrm model = models::make_tmr();
-  const auto batch = parse_batch({"P(>0.1)[Sup U[0,100][0,3000] failed]"});
-  checker::CheckerOptions options;
-
-  // Seed the registry with the fallback-heavy history the adaptive pass reads.
-  obs::counter_add("engine.auto_choice.classdp", 4);
-  obs::counter_add("classdp.fallbacks", 2);
-  const plan::CostModelHistory history = plan::CostModelHistory::from_global_stats();
-  EXPECT_EQ(history.auto_classdp, 4u);
-  EXPECT_EQ(history.classdp_fallbacks, 2u);
-
-  plan::PlanOptions adaptive;
-  adaptive.adaptive_cost_model = true;
-  const plan::Plan adjusted = plan::compile(model, batch, options, adaptive);
-  const plan::Plan untouched = plan::compile(model, batch, options);
-  bool saw_adjusted = false;
-  for (const auto& op : adjusted.ops) {
-    if (op.kind == plan::OpKind::kUntilSolve) {
-      EXPECT_EQ(op.engine_choice.engine, checker::UntilEngine::kDfpg);
-      saw_adjusted = op.engine_history_adjusted;
-    }
-  }
-  EXPECT_TRUE(saw_adjusted);
-  for (const auto& op : untouched.ops) {
-    if (op.kind == plan::OpKind::kUntilSolve) {
-      EXPECT_EQ(op.engine_choice.engine, checker::UntilEngine::kClassDp);
-      EXPECT_FALSE(op.engine_history_adjusted);
-    }
-  }
+  const checker::AutoEngineChoice choice = checker::choose_until_engine(model, 100.0, options);
+  EXPECT_EQ(choice.method, checker::UntilMethod::kUniformization);
+  EXPECT_EQ(choice.engine, checker::UntilEngine::kDfpg);
+  EXPECT_FALSE(choice.adaptive_hybrid);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,22 +1,27 @@
 // Steady-state detection in the uniformization series (transient.hpp) and
-// the backward hit-probability series behind the large-model P1 until path.
+// the backward hit-probability series behind every P1 until query.
 //
 // The contract under test: with detection OFF the checked entry points are
 // bitwise identical to the historical solver; with detection ON on a stiff
 // model the series is cut early and the folded result stays within the
 // reported steady_error of the full series; and the backward series agrees
-// with the forward per-start fan-out it replaces.
+// with the forward single-start oracle.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "checker/until.hpp"
 #include "core/approx.hpp"
+#include "lang/builder.hpp"
 #include "models/generator.hpp"
 #include "models/mm1k.hpp"
 #include "models/random_mrm.hpp"
 #include "numeric/transient.hpp"
+#include "obs/stats.hpp"
 
 namespace csrlmrm {
 namespace {
@@ -124,11 +129,10 @@ TEST(SteadyDetection, BackwardSeriesSteadyDetectionBoundsError) {
 }
 
 TEST(SteadyDetection, LargeUntilBackwardPathAgreesWithForwardSeries) {
-  // 70x70 = 4900 states crosses the backward-until threshold (4096), so the
-  // P1 query below runs the one-shot backward series. The grid sink is
-  // already absorbing, so Pr{ true U^[0,t] delivered } equals the plain
-  // transient membership of the sink — computable independently through the
-  // forward series for a cross-check of the two routes.
+  // A 70x70 grid through the one-shot backward series of the P1 query. The
+  // grid sink is already absorbing, so Pr{ true U^[0,t] delivered } equals
+  // the plain transient membership of the sink — computable independently
+  // through the forward series for a cross-check of the two routes.
   const core::Mrm model = models::make_generated_mrm("grid:width=70,height=70");
   ASSERT_GE(model.num_states(), 4096u);
   const std::vector<bool> delivered = model.labels().states_with("delivered");
@@ -151,6 +155,45 @@ TEST(SteadyDetection, LargeUntilBackwardPathAgreesWithForwardSeries) {
     if (delivered[s]) {
       EXPECT_NEAR(values[s].probability, 1.0, 1e-9);
     }
+  }
+}
+
+// --steady-detect reaches P1 at every model size: on the 9-state example
+// queue the one backward series is cut, the cut is counted, and the widened
+// interval still encloses the detection-off value.
+TEST(SteadyDetection, CutsSmallModelTimeBoundedUntil) {
+  std::ifstream in(std::string(CSRLMRM_EXAMPLE_MODELS_DIR) + "/queue.spec");
+  ASSERT_TRUE(in.is_open());
+  std::ostringstream text;
+  text << in.rdbuf();
+  const core::Mrm model = std::move(*lang::build_model_from_text(text.str()).model);
+  ASSERT_EQ(model.num_states(), 9u);
+  const std::vector<bool> phi(model.num_states(), true);
+  const std::vector<bool> full = model.labels().states_with("full");
+
+  checker::CheckerOptions off;
+  const auto reference =
+      checker::until_probabilities(model, phi, full, logic::up_to(2000.0), logic::Interval{}, off);
+
+  checker::CheckerOptions on = off;
+  on.transient.detect_steady_state = true;
+  obs::set_stats_enabled(true);
+  obs::StatsRegistry::global().reset();
+  const auto cut =
+      checker::until_probabilities(model, phi, full, logic::up_to(2000.0), logic::Interval{}, on);
+  const auto& registry = obs::StatsRegistry::global();
+  const std::uint64_t detected = registry.counter("uniformization.steady_detected");
+  const std::uint64_t saved = registry.counter("uniformization.terms_saved");
+  obs::StatsRegistry::global().reset();
+  obs::set_stats_enabled(false);
+
+  EXPECT_GT(detected, 0u);
+  EXPECT_GT(saved, 0u);
+  for (core::StateIndex s = 0; s < model.num_states(); ++s) {
+    EXPECT_TRUE(cut[s].bound.contains(reference[s].probability))
+        << "state " << s << ": " << cut[s].bound.to_string() << " misses "
+        << reference[s].probability;
+    EXPECT_LE(cut[s].error_bound, off.transient.epsilon + on.transient.steady_epsilon);
   }
 }
 
