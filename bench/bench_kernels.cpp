@@ -121,7 +121,7 @@ void BM_DiscretizationTmrUntil(benchmark::State& state) {
   const double t = static_cast<double>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        numeric::until_probability_discretization(transformed, failed, 0, t, 3000.0, options));
+        numeric::until_probabilities_discretization(transformed, failed, t, 3000.0, options));
   }
 }
 BENCHMARK(BM_DiscretizationTmrUntil)->Arg(50)->Arg(100)->Arg(200);
@@ -138,7 +138,7 @@ void BM_DiscretizationMm1kSweepThreads(benchmark::State& state) {
   options.threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        numeric::until_probability_discretization(model, full, 0, 50.0, 200.0, options));
+        numeric::until_probabilities_discretization(model, full, 50.0, 200.0, options));
   }
 }
 BENCHMARK(BM_DiscretizationMm1kSweepThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
@@ -278,7 +278,7 @@ void write_stats_record(const char* path) {
   engine.compute(0, 100.0, 3000.0, uopts);
   numeric::DiscretizationOptions dopts;
   dopts.step = 0.5;
-  numeric::until_probability_discretization(transformed, failed, 0, 100.0, 3000.0, dopts);
+  numeric::until_probabilities_discretization(transformed, failed, 100.0, 3000.0, dopts);
   checker::steady_state_probability_of_set(model, failed);
 
   const std::string json = obs::StatsRegistry::global().to_json();

@@ -89,9 +89,9 @@ UntilExperiment::Result UntilExperiment::discretization(core::StateIndex start, 
   options.step = d;
   const auto begin = std::chrono::steady_clock::now();
   const auto computed =
-      numeric::until_probability_discretization(transformed_, psi_, start, t, r, options);
+      numeric::until_probabilities_discretization(transformed_, psi_, t, r, options);
   Result result;
-  result.probability = computed.probability;
+  result.probability = computed.probabilities[start];
   result.seconds = elapsed_seconds(begin);
   return result;
 }

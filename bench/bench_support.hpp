@@ -32,7 +32,9 @@ class UntilExperiment {
   Result uniformization(core::StateIndex start, double t, double r, double w,
                         bool aggregate_signatures = true) const;
 
-  /// Discretization with step d (section 4.5).
+  /// Discretization with step d (section 4.5). One backward sweep answers
+  /// every start state; `start` picks the reported value and `seconds`
+  /// covers the whole sweep.
   Result discretization(core::StateIndex start, double t, double r, double d) const;
 
   /// Signature-class DP over a batch of start states (one frontier sweep for

@@ -21,36 +21,49 @@ std::vector<double> per_state_gain_rates(const core::Mrm& model) {
   return gain;
 }
 
+namespace {
+
+PerformabilityValue discretization_value(double probability, double error_bound) {
+  return {probability, error_bound,
+          ProbabilityBound::from_point_error(probability, error_bound, error_bound)};
+}
+
+}  // namespace
+
 PerformabilityValue performability(const core::Mrm& model, core::StateIndex start, double t,
                                    double r, const CheckerOptions& options) {
   obs::ScopedTimer timer("checker.performability");
   obs::counter_add("checker.performability.calls");
+  if (start >= model.num_states()) {
+    throw std::invalid_argument("performability: start state out of range");
+  }
   const std::vector<bool> everything(model.num_states(), true);
-  const std::vector<bool> nothing(model.num_states(), false);
   if (options.until_method == UntilMethod::kUniformization) {
+    const std::vector<bool> nothing(model.num_states(), false);
     numeric::UniformizationUntilEngine engine(model, everything, nothing);
     const auto result = engine.compute(start, t, r, options.uniformization);
     // Truncation only loses mass: the truth lies in [p, p + error].
     return {result.probability, result.error_bound,
             ProbabilityBound::from_point_error(result.probability, 0.0, result.error_bound)};
   }
-  const auto result = numeric::until_probability_discretization(model, everything, start, t, r,
-                                                                options.discretization);
-  return {result.probability, result.error_bound,
-          ProbabilityBound::from_point_error(result.probability, result.error_bound,
-                                             result.error_bound)};
+  const auto result = numeric::reward_cdf_discretization(model, everything, start, t, {r},
+                                                         options.discretization);
+  return discretization_value(result.probabilities[0], result.error_bound);
 }
 
 std::vector<PerformabilityValue> performability_cdf(const core::Mrm& model,
                                                     core::StateIndex start, double t,
                                                     const std::vector<double>& reward_bounds,
                                                     const CheckerOptions& options) {
+  if (start >= model.num_states()) {
+    throw std::invalid_argument("performability_cdf: start state out of range");
+  }
   std::vector<PerformabilityValue> values;
   values.reserve(reward_bounds.size());
+  const std::vector<bool> everything(model.num_states(), true);
   if (options.until_method == UntilMethod::kUniformization) {
     // Build the engine once; each bound re-walks the (truncated) path set
     // but shares the uniformization preprocessing.
-    const std::vector<bool> everything(model.num_states(), true);
     const std::vector<bool> nothing(model.num_states(), false);
     numeric::UniformizationUntilEngine engine(model, everything, nothing);
     for (const double r : reward_bounds) {
@@ -61,7 +74,12 @@ std::vector<PerformabilityValue> performability_cdf(const core::Mrm& model,
     }
     return values;
   }
-  for (const double r : reward_bounds) values.push_back(performability(model, start, t, r, options));
+  // One sweep at the largest bound answers every bound (a level shift).
+  const auto result = numeric::reward_cdf_discretization(model, everything, start, t,
+                                                         reward_bounds, options.discretization);
+  for (const double p : result.probabilities) {
+    values.push_back(discretization_value(p, result.error_bound));
+  }
   return values;
 }
 

@@ -34,14 +34,16 @@ struct PerformabilityValue {
 
 /// Perf(<= r) = Pr{ Y(t) <= r } from `start` over the utilization interval
 /// [0, t]. Uses the engine selected in `options` (uniformization by
-/// default). Requires t, r finite and >= 0.
+/// default). Requires t, r finite and >= 0 and `start` a state of `model`.
 PerformabilityValue performability(const core::Mrm& model, core::StateIndex start, double t,
                                    double r, const CheckerOptions& options = {});
 
 /// The distribution function r -> Pr{ Y(t) <= r } evaluated at each bound in
-/// `reward_bounds` (one engine pass per entry; the uniformization engine
-/// shares its path exploration across entries only through signature reuse,
-/// so prefer modest sweep sizes).
+/// `reward_bounds`. Discretization runs one sweep at the largest bound and
+/// reads every other bound off it (numeric::reward_cdf_discretization); the
+/// uniformization engine runs one pass per entry, sharing its path
+/// exploration across entries only through signature reuse, so prefer
+/// modest sweep sizes there.
 std::vector<PerformabilityValue> performability_cdf(const core::Mrm& model,
                                                     core::StateIndex start, double t,
                                                     const std::vector<double>& reward_bounds,

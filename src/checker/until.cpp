@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "core/transform.hpp"
 #include "graph/reachability.hpp"
@@ -156,15 +158,18 @@ numeric::DiscretizationOptions adapted_discretization_options(
 /// One uniformization query with the configured degradation policy applied
 /// on node-budget exhaustion (see BudgetPolicy). Runs inside the per-state
 /// fan-out, so a budget-exhausting start state degrades alone while the
-/// cheap ones keep their DFPG answer.
-UntilValue uniformization_value_with_degradation(
-    const numeric::UniformizationUntilEngine& engine, const core::Mrm& transformed,
-    const std::vector<bool>& sat_psi, core::StateIndex s, double t, double r,
-    const CheckerOptions& options) {
+/// cheap ones keep their DFPG answer. A start that still needs the
+/// discretization fallback gets no value, only the engine's diagnosis in
+/// `budget_error`; the caller answers every such start with one sweep after
+/// the fan-out.
+void uniformization_value_with_degradation(const numeric::UniformizationUntilEngine& engine,
+                                           core::StateIndex s, double t, double r,
+                                           const CheckerOptions& options, UntilValue& value,
+                                           std::optional<std::string>& budget_error) {
   try {
     const auto result = engine.compute(s, t, r, options.uniformization);
-    return truncated_until_value(result.probability, result.error_bound);
-  } catch (const numeric::NodeBudgetError& budget_error) {
+    value = truncated_until_value(result.probability, result.error_bound);
+  } catch (const numeric::NodeBudgetError& error) {
     if (options.on_budget_exhausted == BudgetPolicy::kThrow) throw;
     if (options.on_budget_exhausted == BudgetPolicy::kWidenW) {
       numeric::PathExplorerOptions widened = options.uniformization;
@@ -175,28 +180,44 @@ UntilValue uniformization_value_with_degradation(
         try {
           const auto result = engine.compute(s, t, r, widened);
           obs::counter_add("uniformization.widenings");
-          return truncated_until_value(result.probability, result.error_bound);
+          value = truncated_until_value(result.probability, result.error_bound);
+          return;
         } catch (const numeric::NodeBudgetError&) {
           // still too large; widen further, or fall through to discretization
         }
       }
     }
-    const auto fallback =
-        adapted_discretization_options(transformed, t, options.discretization);
-    try {
-      const auto result =
-          numeric::until_probability_discretization(transformed, sat_psi, s, t, r, fallback);
-      obs::counter_add("uniformization.fallbacks");
-      return two_sided_until_value(result.probability, result.error_bound);
-    } catch (const std::invalid_argument& fallback_error) {
-      // The degradation path is itself infeasible (e.g. impulse rewards not
-      // commensurable with any reasonable step). Re-raise the budget error
-      // with both diagnoses so the user can pick a remedy.
-      throw numeric::NodeBudgetError(std::string(budget_error.what()) +
-                                     "; fallback to discretization also failed: " +
-                                     fallback_error.what() +
-                                     " (raise max_nodes, widen w, or adjust rewards)");
-    }
+    budget_error = error.what();
+  }
+}
+
+/// The discretization fallback for the start states the per-state fan-out
+/// could not answer: one adapted-step sweep answers them all.
+void discretization_fallback(const core::Mrm& transformed, const std::vector<bool>& sat_psi,
+                             double t, double r, const CheckerOptions& options,
+                             const std::vector<std::optional<std::string>>& budget_errors,
+                             std::vector<UntilValue>& values) {
+  const auto first = std::find_if(budget_errors.begin(), budget_errors.end(),
+                                  [](const auto& error) { return error.has_value(); });
+  if (first == budget_errors.end()) return;
+  numeric::UntilDiscretizationResult result;
+  try {
+    result = numeric::until_probabilities_discretization(
+        transformed, sat_psi, t, r,
+        adapted_discretization_options(transformed, t, options.discretization));
+  } catch (const std::invalid_argument& fallback_error) {
+    // The degradation path is itself infeasible (e.g. impulse rewards not
+    // commensurable with any reasonable step). Re-raise the budget error
+    // (of the lowest degraded start) with both diagnoses so the user can
+    // pick a remedy.
+    throw numeric::NodeBudgetError(**first + "; fallback to discretization also failed: " +
+                                   fallback_error.what() +
+                                   " (raise max_nodes, widen w, or adjust rewards)");
+  }
+  for (core::StateIndex s = 0; s < values.size(); ++s) {
+    if (!budget_errors[s]) continue;
+    values[s] = two_sided_until_value(result.probabilities[s], result.error_bound);
+    obs::counter_add("uniformization.fallbacks");
   }
 }
 
@@ -234,23 +255,32 @@ std::vector<UntilValue> bounded_time_reward(const core::Mrm& transformed,
                              : "checker.until.bounded.discretization");
   const std::size_t n = transformed.num_states();
   std::vector<UntilValue> values(n);
-  // Every start state is an independent engine query on the one shared
-  // transformed MRM (and, for uniformization, the one shared engine — its
-  // compute() is const and touches only per-call state), so the start states
-  // fan out over the thread pool. When the fan-out runs parallel, nested
-  // engine-level regions stay inline; when it runs serial (threads == 1),
-  // the engines are free to use their own thread options.
-  const unsigned threads = parallel::resolve_thread_count(options.threads);
-  if (options.until_method == UntilMethod::kUniformization &&
-      options.until_engine == UntilEngine::kClassDp) {
+  // Absorbed Psi-states score exactly 1 (case 1 of eq. 3.6) on every engine.
+  const auto trivially_one = [&](core::StateIndex s) { return psi_absorbed && sat_psi[s]; };
+  if (options.until_method == UntilMethod::kDiscretization) {
+    if (psi_absorbed && std::all_of(sat_psi.begin(), sat_psi.end(), [](bool b) { return b; })) {
+      std::fill(values.begin(), values.end(), exact_until_value(1.0));
+      return values;
+    }
+    // One backward sweep answers every start state.
+    const auto result = numeric::until_probabilities_discretization(transformed, sat_psi, t, r,
+                                                                    options.discretization);
+    for (core::StateIndex s = 0; s < n; ++s) {
+      values[s] = trivially_one(s)
+                      ? exact_until_value(1.0)
+                      : two_sided_until_value(result.probabilities[s], result.error_bound);
+    }
+    return values;
+  }
+  if (options.until_engine == UntilEngine::kClassDp) {
     // Signature-class DP: every non-trivial start state rides one batched
     // frontier sweep (one engine run, one conditional-probability evaluation
     // per signature class for the whole fan-out). Trivial starts are scored
-    // directly: absorbed Psi-states exactly 1 (case 1 of eq. 3.6), dead
-    // states exactly 0 — matching what the DFPG per-state loop produces.
+    // directly: absorbed Psi-states exactly 1, dead states exactly 0 —
+    // matching what the DFPG per-state loop produces.
     std::vector<core::StateIndex> starts;
     for (core::StateIndex s = 0; s < n; ++s) {
-      if (psi_absorbed && sat_psi[s]) {
+      if (trivially_one(s)) {
         values[s] = exact_until_value(1.0);
       } else if (dead[s]) {
         values[s] = truncated_until_value(0.0, 0.0);
@@ -275,31 +305,25 @@ std::vector<UntilValue> bounded_time_reward(const core::Mrm& transformed,
       obs::counter_add("classdp.fallbacks");
     }
   }
-  if (options.until_method == UntilMethod::kUniformization) {
-    const numeric::UniformizationUntilEngine engine(transformed, sat_psi, dead);
-    parallel::parallel_for(n, threads, [&](std::size_t begin, std::size_t end) {
-      for (core::StateIndex s = begin; s < end; ++s) {
-        if (psi_absorbed && sat_psi[s]) {
-          values[s] = exact_until_value(1.0);
-          continue;
-        }
-        values[s] = uniformization_value_with_degradation(engine, transformed, sat_psi, s, t,
-                                                          r, options);
+  // Every start state is an independent DFPG query on the one shared engine
+  // (its compute() is const and touches only per-call state), so the start
+  // states fan out over the thread pool. When the fan-out runs parallel,
+  // nested engine-level regions stay inline; when it runs serial
+  // (threads == 1), the engine is free to use its own thread options.
+  const numeric::UniformizationUntilEngine engine(transformed, sat_psi, dead);
+  std::vector<std::optional<std::string>> budget_errors(n);
+  const unsigned threads = parallel::resolve_thread_count(options.threads);
+  parallel::parallel_for(n, threads, [&](std::size_t begin, std::size_t end) {
+    for (core::StateIndex s = begin; s < end; ++s) {
+      if (trivially_one(s)) {
+        values[s] = exact_until_value(1.0);
+        continue;
       }
-    });
-  } else {
-    parallel::parallel_for(n, threads, [&](std::size_t begin, std::size_t end) {
-      for (core::StateIndex s = begin; s < end; ++s) {
-        if (psi_absorbed && sat_psi[s]) {
-          values[s] = exact_until_value(1.0);
-          continue;
-        }
-        const auto result = numeric::until_probability_discretization(
-            transformed, sat_psi, s, t, r, options.discretization);
-        values[s] = two_sided_until_value(result.probability, result.error_bound);
-      }
-    });
-  }
+      uniformization_value_with_degradation(engine, s, t, r, options, values[s],
+                                            budget_errors[s]);
+    }
+  });
+  discretization_fallback(transformed, sat_psi, t, r, options, budget_errors, values);
   return values;
 }
 

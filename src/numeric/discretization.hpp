@@ -6,16 +6,27 @@
 // reward units each, so one step of residence in state s advances the reward
 // level by rho(s) (hence state rewards must be integers — rational rewards
 // are scaled, together with the bound r, by the smallest integer factor that
-// makes them integral), and a transition s' -> s advances it additionally by
-// iota(s',s)/d levels (which must be integral; choose d to divide the
+// makes them integral), and a transition s -> s' advances it additionally by
+// iota(s,s')/d levels (which must be integral; choose d to divide the
 // impulse rewards).
 //
-//   F^{j+1}(s,k) = F^j(s, k - rho(s)) (1 - E(s) d)
-//                + sum_{s'} F^j(s', k - rho(s') - iota(s',s)/d) R(s',s) d
+// The paper states the scheme forward, as a density F^j(s,k) pushed from one
+// start state. The engine runs its transpose instead: V^j(s,k) is the
+// probability of ending in Psi with fewer than L reward levels used when
+// j steps remain and k levels are already consumed,
+//
+//   V^0(s,k)     = [s |= Psi]
+//   V^{j+1}(s,k) = (1 - E(s) d) V^j(s, k + rho(s))
+//                + sum_{s'} R(s,s') d V^j(s', k + rho(s) + iota(s,s')/d),
+//
+// where a term whose level reaches L is dropped, exactly as the forward
+// scheme drops mass leaving the grid. Both evaluate the same linear
+// functional, so one backward sweep answers every start state:
+// P(s) = V^{T-1}(s, rho(s)), or 0 when rho(s) >= L.
 //
 // As with the uniformization engine, the input model must already be the
-// absorbing-transformed M[!Phi v Psi], after which
-// P(s, Phi U_[0,r]^[0,t] Psi) = sum_{s'|=Psi} sum_k F^{t/d}(s',k) d.
+// absorbing-transformed M[!Phi v Psi], after which P(s) =
+// P(s, Phi U_[0,r]^[0,t] Psi).
 #pragma once
 
 #include <cstddef>
@@ -49,9 +60,11 @@ struct DiscretizationOptions {
   std::size_t max_grid_cells = 64ull * 1024 * 1024;
 };
 
-/// Result of a discretization evaluation.
+/// Result of a discretization sweep.
 struct UntilDiscretizationResult {
-  double probability = 0.0;
+  /// One probability per start state (until_probabilities_discretization)
+  /// or per reward bound (reward_cdf_discretization).
+  std::vector<double> probabilities;
   /// Derived half-width of the O(d) error band (section 4.5: the scheme
   /// converges linearly in the step): per time step the scheme drops the
   /// multi-jump events, whose probability is at most (E_max d)^2 / 2, plus
@@ -68,15 +81,27 @@ struct UntilDiscretizationResult {
 };
 
 /// Evaluates Pr{ Y(t) <= r, X(t) |= Psi } on the absorbing-transformed model
-/// by discretization. Throws std::invalid_argument for an unusable step
-/// (d * max E >= 1, non-integral impulse levels, t not a multiple of d) and
-/// std::domain_error when no reward scale <= max_reward_scale makes the state
-/// rewards integral.
-UntilDiscretizationResult until_probability_discretization(const core::Mrm& transformed,
-                                                           const std::vector<bool>& psi,
-                                                           core::StateIndex start, double t,
-                                                           double r,
-                                                           const DiscretizationOptions& options);
+/// by discretization, for every start state in one backward sweep. Throws
+/// std::invalid_argument for an unusable step (d * max E >= 1, non-integral
+/// impulse levels, t not a multiple of d) or a grid above max_grid_cells,
+/// and std::domain_error when no reward scale <= max_reward_scale makes the
+/// state rewards integral.
+UntilDiscretizationResult until_probabilities_discretization(
+    const core::Mrm& transformed, const std::vector<bool>& psi, double t, double r,
+    const DiscretizationOptions& options);
+
+/// Pr{ Y(t) <= r_i, X(t) |= Psi } from `start` for every bound r_i, from one
+/// sweep at the largest bound: the grid at r_max holds the grid at r_i
+/// shifted by L_max - L_i levels (a run stays below L_i levels from level k
+/// exactly when it stays below L_max from k + L_max - L_i), so bound r_i is
+/// read at level rho(start) + L_max - L_i. reward_levels reports L_max.
+/// Throws like until_probabilities_discretization, and std::invalid_argument
+/// for an out-of-range start.
+UntilDiscretizationResult reward_cdf_discretization(const core::Mrm& transformed,
+                                                    const std::vector<bool>& psi,
+                                                    core::StateIndex start, double t,
+                                                    const std::vector<double>& reward_bounds,
+                                                    const DiscretizationOptions& options);
 
 /// Smallest integer factor f <= max_scale such that f * value is integral
 /// (within 1e-9 relative tolerance) for every value; throws std::domain_error

@@ -1,5 +1,6 @@
 // The discretization engine (Algorithm 4.6) against closed forms and the
-// reward-scaling helper.
+// reward-scaling helper. The engine answers every start state in one sweep;
+// the death chain starts in state 0, the absorbing target is state 1.
 #include "numeric/discretization.hpp"
 
 #include <gtest/gtest.h>
@@ -53,8 +54,8 @@ TEST(Discretization, ConvergesToExponentialClosedForm) {
   double previous_error = 1.0;
   for (double d : {0.25, 0.125, 0.0625}) {
     const auto result =
-        until_probability_discretization(model, mask(2, {1}), 0, t, r, step(d));
-    const double error = std::abs(result.probability - (1.0 - std::exp(-mu * t)));
+        until_probabilities_discretization(model, mask(2, {1}), t, r, step(d));
+    const double error = std::abs(result.probabilities[0] - (1.0 - std::exp(-mu * t)));
     EXPECT_LT(error, previous_error) << "d=" << d;  // converges as d shrinks
     previous_error = error;
   }
@@ -68,8 +69,8 @@ TEST(Discretization, RewardBoundBitesAtRoverC) {
   const double t = 10.0;
   const double r = 8.0;  // binding: effective horizon r/c = 2
   const auto result =
-      until_probability_discretization(model, mask(2, {1}), 0, t, r, step(1.0 / 64.0));
-  EXPECT_NEAR(result.probability, 1.0 - std::exp(-mu * (r / c)), 2e-2);
+      until_probabilities_discretization(model, mask(2, {1}), t, r, step(1.0 / 64.0));
+  EXPECT_NEAR(result.probabilities[0], 1.0 - std::exp(-mu * (r / c)), 2e-2);
 }
 
 TEST(Discretization, ImpulseShiftsTheRewardBudget) {
@@ -80,49 +81,49 @@ TEST(Discretization, ImpulseShiftsTheRewardBudget) {
   const double t = 10.0;
   const double r = 3.0;  // need c*T + iota <= r -> T <= 1
   const auto result =
-      until_probability_discretization(model, mask(2, {1}), 0, t, r, step(1.0 / 64.0));
-  EXPECT_NEAR(result.probability, 1.0 - std::exp(-mu * 1.0), 2e-2);
+      until_probabilities_discretization(model, mask(2, {1}), t, r, step(1.0 / 64.0));
+  EXPECT_NEAR(result.probabilities[0], 1.0 - std::exp(-mu * 1.0), 2e-2);
 }
 
 TEST(Discretization, ImpulseAboveBudgetGivesZero) {
   const core::Mrm model = death_chain(1.0, 1.0, 5.0);
   const auto result =
-      until_probability_discretization(model, mask(2, {1}), 0, 4.0, 3.0, step(0.125));
-  EXPECT_DOUBLE_EQ(result.probability, 0.0);
+      until_probabilities_discretization(model, mask(2, {1}), 4.0, 3.0, step(0.125));
+  EXPECT_DOUBLE_EQ(result.probabilities[0], 0.0);
 }
 
 TEST(Discretization, ScalesRationalRewards) {
   // rho = 0.5 needs scale 2; result must match the integer-reward run.
   const core::Mrm half = death_chain(0.5, 0.5);
   const auto result =
-      until_probability_discretization(half, mask(2, {1}), 0, 4.0, 100.0, step(0.125));
+      until_probabilities_discretization(half, mask(2, {1}), 4.0, 100.0, step(0.125));
   EXPECT_EQ(result.reward_scale, 2u);
-  EXPECT_NEAR(result.probability, 1.0 - std::exp(-0.5 * 4.0), 2e-2);
+  EXPECT_NEAR(result.probabilities[0], 1.0 - std::exp(-0.5 * 4.0), 2e-2);
 }
 
 TEST(Discretization, PsiStartIsCertain) {
   const core::Mrm model = death_chain(1.0, 2.0);
   const auto result =
-      until_probability_discretization(model, mask(2, {1}), 1, 3.0, 10.0, step(0.25));
-  EXPECT_NEAR(result.probability, 1.0, 1e-12);
+      until_probabilities_discretization(model, mask(2, {1}), 3.0, 10.0, step(0.25));
+  EXPECT_NEAR(result.probabilities[1], 1.0, 1e-12);
 }
 
 TEST(Discretization, ZeroTimeIsIndicator) {
   const core::Mrm model = death_chain(1.0, 2.0);
   EXPECT_DOUBLE_EQ(
-      until_probability_discretization(model, mask(2, {1}), 1, 0.0, 1.0, step(0.25))
-          .probability,
+      until_probabilities_discretization(model, mask(2, {1}), 0.0, 1.0, step(0.25))
+          .probabilities[1],
       1.0);
   EXPECT_DOUBLE_EQ(
-      until_probability_discretization(model, mask(2, {1}), 0, 0.0, 1.0, step(0.25))
-          .probability,
+      until_probabilities_discretization(model, mask(2, {1}), 0.0, 1.0, step(0.25))
+          .probabilities[0],
       0.0);
 }
 
 TEST(Discretization, ReportsGridDimensions) {
   const core::Mrm model = death_chain(1.0, 2.0);
   const auto result =
-      until_probability_discretization(model, mask(2, {1}), 0, 2.0, 4.0, step(0.25));
+      until_probabilities_discretization(model, mask(2, {1}), 2.0, 4.0, step(0.25));
   EXPECT_EQ(result.time_steps, 8u);
   EXPECT_EQ(result.reward_levels, 17u);  // levels 0..16
   EXPECT_EQ(result.reward_scale, 1u);
@@ -131,14 +132,14 @@ TEST(Discretization, ReportsGridDimensions) {
 TEST(Discretization, RejectsTooCoarseStep) {
   const core::Mrm model = death_chain(10.0, 1.0);  // max exit 10 -> need d < 0.1
   EXPECT_THROW(
-      until_probability_discretization(model, mask(2, {1}), 0, 1.0, 1.0, step(0.25)),
+      until_probabilities_discretization(model, mask(2, {1}), 1.0, 1.0, step(0.25)),
       std::invalid_argument);
 }
 
 TEST(Discretization, RejectsNonMultipleTime) {
   const core::Mrm model = death_chain(1.0, 1.0);
   EXPECT_THROW(
-      until_probability_discretization(model, mask(2, {1}), 0, 1.1, 1.0, step(0.25)),
+      until_probabilities_discretization(model, mask(2, {1}), 1.1, 1.0, step(0.25)),
       std::invalid_argument);
 }
 
@@ -146,8 +147,28 @@ TEST(Discretization, RejectsNonGridImpulse) {
   // iota = 0.1 is not a multiple of d = 0.25.
   const core::Mrm model = death_chain(1.0, 1.0, 0.1);
   EXPECT_THROW(
-      until_probability_discretization(model, mask(2, {1}), 0, 1.0, 1.0, step(0.25)),
+      until_probabilities_discretization(model, mask(2, {1}), 1.0, 1.0, step(0.25)),
       std::invalid_argument);
+}
+
+TEST(Discretization, AnswersEveryStartStateInOneSweep) {
+  const core::Mrm model = death_chain(1.0, 2.0);
+  const auto result =
+      until_probabilities_discretization(model, mask(2, {1}), 2.0, 4.0, step(0.25));
+  ASSERT_EQ(result.probabilities.size(), 2u);
+  EXPECT_GT(result.probabilities[0], 0.0);
+  EXPECT_LT(result.probabilities[0], 1.0);
+  EXPECT_DOUBLE_EQ(result.probabilities[1], 1.0);
+}
+
+TEST(Discretization, RewardCdfRejectsBadStartAndBounds) {
+  const core::Mrm model = death_chain(1.0, 2.0);
+  EXPECT_THROW(reward_cdf_discretization(model, mask(2, {1}), 2, 2.0, {4.0}, step(0.25)),
+               std::invalid_argument);
+  EXPECT_THROW(reward_cdf_discretization(model, mask(2, {1}), 0, 2.0, {4.0, -1.0}, step(0.25)),
+               std::invalid_argument);
+  EXPECT_TRUE(
+      reward_cdf_discretization(model, mask(2, {1}), 0, 2.0, {}, step(0.25)).probabilities.empty());
 }
 
 TEST(Discretization, WavelanTransformedModelRuns) {
@@ -166,8 +187,7 @@ TEST(Discretization, WavelanTransformedModelRuns) {
   // State rewards are integers (0, 80, 1319, ...) and impulses are multiples
   // of 1/64? They are not -> expect the integrality guard to fire.
   EXPECT_THROW(
-      until_probability_discretization(transformed, busy, models::kWavelanIdle, 2.0, 2000.0,
-                                       options),
+      until_probabilities_discretization(transformed, busy, 2.0, 2000.0, options),
       std::invalid_argument);
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "checker/sat.hpp"
 #include "checker/until.hpp"
@@ -97,6 +98,51 @@ TEST_F(EngineFallback, FallbackPolicyDegradesToDiscretizationWithoutThrowing) {
         << exact[s].bound.to_string();
     EXPECT_GE(degraded[s].bound.lower, 0.0);
     EXPECT_LE(degraded[s].bound.upper, 1.0);
+  }
+}
+
+TEST_F(EngineFallback, EveryDegradedStartSharesOneDiscretizationSweep) {
+  // Both a-states exhaust the budget; one adapted-step sweep answers them
+  // together after the DFPG fan-out, while the fallback counter still
+  // counts each degraded start.
+  const core::Mrm model = make_cycle();
+  const auto degraded =
+      until_probabilities(model, kPhi, kPsi, logic::up_to(1.0), logic::up_to(10.0),
+                          starved(BudgetPolicy::kFallbackToDiscretization));
+  const auto& registry = obs::StatsRegistry::global();
+  EXPECT_EQ(registry.counter("discretization.calls"), 1u);
+  EXPECT_EQ(registry.counter("uniformization.fallbacks"), 2u);
+  EXPECT_EQ(degraded[2].probability, 1.0);  // absorbed Psi start, never degraded
+  for (core::StateIndex s = 0; s < 2; ++s) {
+    EXPECT_GT(degraded[s].bound.width(), 0.0) << "state " << s;
+  }
+}
+
+TEST_F(EngineFallback, InfeasibleFallbackReRaisesTheBudgetErrorWithBothDiagnoses) {
+  // An impulse of 0.1 is on no level grid the adapted step (1/64 over t = 1)
+  // can offer, so the degradation itself fails: the typed budget error comes
+  // back carrying the discretization diagnosis too.
+  core::RateMatrixBuilder rates(3);
+  rates.add(0, 1, 1.0);
+  rates.add(1, 2, 1.0);
+  rates.add(2, 0, 1.0);
+  core::ImpulseRewardsBuilder impulses(3);
+  impulses.add(0, 1, 0.1);
+  core::Labeling labels(3);
+  labels.add(0, "a");
+  labels.add(1, "a");
+  labels.add(2, "b");
+  const core::Mrm model(core::Ctmc(rates.build(), std::move(labels)), {1.0, 2.0, 1.0},
+                        impulses.build());
+  try {
+    until_probabilities(model, kPhi, kPsi, logic::up_to(1.0), logic::up_to(10.0),
+                        starved(BudgetPolicy::kFallbackToDiscretization));
+    FAIL() << "expected NodeBudgetError";
+  } catch (const numeric::NodeBudgetError& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("fallback to discretization also failed"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("impulse reward"), std::string::npos) << message;
   }
 }
 

@@ -359,6 +359,32 @@ TEST_F(MrmcheckCli, FormulasBatchIsolatesPerFormulaFailures) {
   EXPECT_EQ(run(model_args_ + " NP --explain --formulas=" + mixed), 4);
 }
 
+// The discretization sweep answers every start state at once; its rows are
+// written by one task each, so the printed 17-digit probabilities must not
+// depend on the worker count.
+TEST_F(MrmcheckCli, DiscretizationOutputIsByteIdenticalAcrossThreadCounts) {
+  const std::string models = CSRLMRM_EXAMPLE_MODELS_DIR;
+  std::string outputs[3];
+  const unsigned thread_counts[] = {1, 2, 4};
+  for (int i = 0; i < 3; ++i) {
+    const std::filesystem::path out_file =
+        directory_ / ("threads_" + std::to_string(thread_counts[i]) + ".txt");
+    const std::string command = std::string("'") + MRMCHECK_BINARY + "' '" + models +
+                                "/tmr.spec' d=0.5 --threads " +
+                                std::to_string(thread_counts[i]) +
+                                " 'P(>0.1)[Sup U[0,100][0,3000] failed]' >'" +
+                                out_file.string() + "' 2>/dev/null";
+    ASSERT_EQ(std::system(command.c_str()), 0) << command;
+    std::ifstream in(out_file);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    outputs[i] = buffer.str();
+  }
+  EXPECT_NE(outputs[0].find("P(state 1)"), std::string::npos) << outputs[0];
+  EXPECT_EQ(outputs[1], outputs[0]);
+  EXPECT_EQ(outputs[2], outputs[0]);
+}
+
 TEST_F(MrmcheckCli, StatsToUnwritablePathFailsBeforeChecking) {
   EXPECT_EQ(run(model_args_ + " --stats=/nonexistent-dir/stats.json 'TT'"), 2);
   EXPECT_EQ(run(model_args_ + " --stats= 'TT'"), 2);

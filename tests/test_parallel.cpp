@@ -137,13 +137,14 @@ TEST(ParallelDiscretization, MatchesSerialOnRandomMrms) {
     std::vector<bool> phi, psi;
     make_masks(model, seed, phi, psi);
     const auto reference =
-        numeric::until_probability_discretization(model, psi, 0, 2.0, 3.0, serial);
+        numeric::until_probabilities_discretization(model, psi, 2.0, 3.0, serial);
+    ASSERT_EQ(reference.probabilities.size(), model.num_states());
     for (const unsigned threads : {2u, 8u}) {
       numeric::DiscretizationOptions options = serial;
       options.threads = threads;
       const auto result =
-          numeric::until_probability_discretization(model, psi, 0, 2.0, 3.0, options);
-      EXPECT_EQ(result.probability, reference.probability)
+          numeric::until_probabilities_discretization(model, psi, 2.0, 3.0, options);
+      EXPECT_TRUE(bitwise_equal(result.probabilities, reference.probabilities))
           << "seed=" << seed << " threads=" << threads;
       EXPECT_EQ(result.time_steps, reference.time_steps);
       EXPECT_EQ(result.reward_levels, reference.reward_levels);
@@ -160,11 +161,11 @@ TEST(ParallelDiscretization, DeterministicAcrossRepeatedRuns) {
     options.step = 1.0 / 16.0;
     options.threads = threads;
     const auto first =
-        numeric::until_probability_discretization(model, psi, 0, 2.0, 3.0, options);
+        numeric::until_probabilities_discretization(model, psi, 2.0, 3.0, options);
     for (int repeat = 0; repeat < 3; ++repeat) {
       const auto again =
-          numeric::until_probability_discretization(model, psi, 0, 2.0, 3.0, options);
-      EXPECT_EQ(again.probability, first.probability)
+          numeric::until_probabilities_discretization(model, psi, 2.0, 3.0, options);
+      EXPECT_TRUE(bitwise_equal(again.probabilities, first.probabilities))
           << "threads=" << threads << " repeat=" << repeat;
     }
   }

@@ -140,6 +140,36 @@ TEST(LongRunRewardRate, MultiBsccModelDependsOnStart) {
 TEST(Performability, RejectsBadStart) {
   const core::Mrm model = models::make_wavelan();
   EXPECT_THROW(expected_accumulated_reward(model, 99, 1.0), std::invalid_argument);
+  // Both engines, checked by performability() itself: the discretization
+  // sweep answers every state and never sees `start`.
+  CheckerOptions discretization;
+  discretization.until_method = UntilMethod::kDiscretization;
+  for (const CheckerOptions& options : {tight(), discretization}) {
+    EXPECT_THROW(performability(model, 5, 1.0, 1.0, options), std::invalid_argument);
+    EXPECT_THROW(performability_cdf(model, 5, 1.0, {1.0, 2.0}, options),
+                 std::invalid_argument);
+  }
+}
+
+TEST(Performability, OneSweepCdfMatchesPerBoundCalls) {
+  // performability_cdf by discretization sweeps once at the largest bound
+  // and reads each smaller bound L_max - L_r levels higher; that level shift
+  // is exact, so every entry equals its own single-bound sweep.
+  const core::Mrm model = models::make_mm1k({4, 0.5, 1.0, 1.0, 3.0, 1.0});
+  CheckerOptions discretization;
+  discretization.until_method = UntilMethod::kDiscretization;
+  discretization.discretization.step = 1.0 / 16.0;
+  const std::vector<double> bounds{0.0, 0.5, 3.0, 8.0, 2.0, 20.0};
+  for (core::StateIndex start = 0; start < model.num_states(); ++start) {
+    const auto cdf = performability_cdf(model, start, 3.0, bounds, discretization);
+    ASSERT_EQ(cdf.size(), bounds.size());
+    for (std::size_t i = 0; i < bounds.size(); ++i) {
+      const auto single = performability(model, start, 3.0, bounds[i], discretization);
+      EXPECT_NEAR(cdf[i].probability, single.probability, 1e-15)
+          << "start=" << start << " r=" << bounds[i];
+      EXPECT_EQ(cdf[i].error_bound, single.error_bound);
+    }
+  }
 }
 
 }  // namespace
