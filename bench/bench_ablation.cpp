@@ -128,14 +128,13 @@ int main() {
       absorb[s] = !sup[s] || failed[s];
       dead[s] = !sup[s] && !failed[s];
     }
-    numeric::UniformizationUntilEngine engine(core::make_absorbing(model, absorb), failed,
-                                              dead);
+    oracle::DfpgUntilEngine engine(core::make_absorbing(model, absorb), failed, dead);
     const double t = 300.0;
     const double r = 3000.0;
 
     std::printf("%-24s  %-22s  %-13s  %-10s\n", "truncation", "P", "E", "nodes");
     for (const std::size_t depth : {10u, 20u, 30u, 40u, 60u}) {
-      numeric::PathExplorerOptions options;
+      oracle::DfpgOptions options;
       options.truncation_probability = 1e-14;  // effectively depth-only cut
       options.depth_truncation = depth;
       const auto result = engine.compute(0, t, r, options);
@@ -143,7 +142,7 @@ int main() {
                   result.error_bound, result.nodes_expanded);
     }
     for (const double w : {1e-8, 1e-10, 1e-12}) {
-      numeric::PathExplorerOptions options;
+      oracle::DfpgOptions options;
       options.truncation_probability = w;
       const auto result = engine.compute(0, t, r, options);
       std::printf("path w = %-15.0e  %-22.17g  %-13.6e  %-10zu\n", w, result.probability,

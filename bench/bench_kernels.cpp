@@ -13,6 +13,7 @@
 #include "checker/steady.hpp"
 #include "checker/until.hpp"
 #include "core/transform.hpp"
+#include "dfpg_oracle.hpp"
 #include "graph/scc.hpp"
 #include "linalg/gauss_seidel.hpp"
 #include "models/mm1k.hpp"
@@ -20,7 +21,6 @@
 #include "models/tmr.hpp"
 #include "numeric/discretization.hpp"
 #include "numeric/omega.hpp"
-#include "numeric/path_explorer.hpp"
 #include "numeric/poisson.hpp"
 #include "numeric/transient.hpp"
 #include "obs/stats.hpp"
@@ -98,8 +98,8 @@ void BM_DfpgTmrUntil(benchmark::State& state) {
     absorb[s] = !sup[s] || failed[s];
     dead[s] = !sup[s] && !failed[s];
   }
-  numeric::UniformizationUntilEngine engine(core::make_absorbing(model, absorb), failed, dead);
-  numeric::PathExplorerOptions options;
+  oracle::DfpgUntilEngine engine(core::make_absorbing(model, absorb), failed, dead);
+  oracle::DfpgOptions options;
   options.truncation_probability = 1e-11;
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.compute(0, t, 3000.0, options));
@@ -246,8 +246,8 @@ void BM_StatsInstrumentedDfpg(benchmark::State& state) {
     absorb[s] = !sup[s] || failed[s];
     dead[s] = !sup[s] && !failed[s];
   }
-  numeric::UniformizationUntilEngine engine(core::make_absorbing(model, absorb), failed, dead);
-  numeric::PathExplorerOptions options;
+  oracle::DfpgUntilEngine engine(core::make_absorbing(model, absorb), failed, dead);
+  oracle::DfpgOptions options;
   options.truncation_probability = 1e-11;
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.compute(0, 100.0, 3000.0, options));
@@ -272,8 +272,8 @@ void write_stats_record(const char* path) {
     dead[s] = !sup[s] && !failed[s];
   }
   const core::Mrm transformed = core::make_absorbing(model, absorb);
-  numeric::UniformizationUntilEngine engine(transformed, failed, dead);
-  numeric::PathExplorerOptions uopts;
+  oracle::DfpgUntilEngine engine(transformed, failed, dead);
+  oracle::DfpgOptions uopts;
   uopts.truncation_probability = 1e-11;
   engine.compute(0, 100.0, 3000.0, uopts);
   numeric::DiscretizationOptions dopts;

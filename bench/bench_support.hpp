@@ -8,8 +8,8 @@
 
 #include "core/mrm.hpp"
 #include "core/transform.hpp"
+#include "dfpg_oracle.hpp"
 #include "numeric/class_explorer.hpp"
-#include "numeric/path_explorer.hpp"
 
 namespace csrlmrm::benchsupport {
 
@@ -28,7 +28,8 @@ class UntilExperiment {
     std::size_t nodes_expanded = 0;
   };
 
-  /// Uniformization/DFPG with truncation probability w (section 4.6).
+  /// Uniformization by the thesis's DFPG (Algorithm 4.7, the oracle of
+  /// tests/dfpg_oracle.hpp) with truncation probability w (section 4.6).
   Result uniformization(core::StateIndex start, double t, double r, double w,
                         bool aggregate_signatures = true) const;
 
@@ -37,14 +38,12 @@ class UntilExperiment {
   /// covers the whole sweep.
   Result discretization(core::StateIndex start, double t, double r, double d) const;
 
-  /// Signature-class DP over a batch of start states (one frontier sweep for
-  /// the whole batch, see class_explorer.hpp). Every returned Result carries
-  /// the batch's total wall-clock seconds and the shared diagnostic counts.
-  /// `adaptive_hybrid` arms the coarsen/DFS-hand-off escalation — the classdp
-  /// configuration the checker's --until-engine=auto runs.
+  /// Signature-class DP with its adaptive hybrid over a batch of start
+  /// states (one frontier sweep for the whole batch, see class_explorer.hpp)
+  /// — the engine the checker runs. Every returned Result carries the
+  /// batch's total wall-clock seconds and the shared diagnostic counts.
   std::vector<Result> classdp_batch(const std::vector<core::StateIndex>& starts, double t,
-                                    double r, double w, unsigned threads = 0,
-                                    bool adaptive_hybrid = false) const;
+                                    double r, double w, unsigned threads = 0) const;
 
   const core::Mrm& transformed_model() const { return transformed_; }
   const std::vector<bool>& psi_mask() const { return psi_; }
@@ -63,7 +62,7 @@ class UntilExperiment {
   core::Mrm transformed_;  // M[!Phi v Psi]
   std::vector<bool> psi_;
   std::vector<bool> dead_;
-  numeric::UniformizationUntilEngine engine_;
+  oracle::DfpgUntilEngine engine_;
   numeric::SignatureClassUntilEngine class_engine_;
 };
 

@@ -62,20 +62,14 @@ void usage() {
                "            (its value interval straddles a threshold); the default\n"
                "            only warns and lists the offending intervals\n"
                "  --fallback=<policy>  what to do when the uniformization engine\n"
-               "            exhausts its node budget: 'discretize' (default: redo\n"
-               "            that state with the discretization engine), 'widen-w'\n"
-               "            (retry with coarser truncation), or 'throw' (fail)\n"
-               "  --until-engine=<e>  uniformization engine variant: 'auto' (default:\n"
-               "            an up-front cost model picks per query between the class\n"
-               "            DP with its adaptive coarsen/hand-off hybrid, the DFS\n"
-               "            generator, and discretization; recorded in the\n"
-               "            engine.auto_choice.* stats counters), 'classdp'\n"
-               "            (signature-class dynamic programming, all start states\n"
-               "            batched through one frontier sweep) or 'dfpg'\n"
-               "            (depth-first path generation, one DFS per start state —\n"
-               "            the thesis appendix's algorithm)\n"
-               "  --max-nodes=N  node budget for the uniformization engines (DFS\n"
-               "            node expansions / DP frontier classes, default 500000000)\n"
+               "            exhausts its node budget: 'discretize' (default: answer\n"
+               "            every start state with one discretization sweep),\n"
+               "            'widen-w' (re-run with coarser truncation, then\n"
+               "            discretize), or 'throw' (fail). Unless 'throw', a query\n"
+               "            on an impulse-free model that provably cannot fit the\n"
+               "            budget is discretized up front (engine.auto_choice.*)\n"
+               "  --max-nodes=N  node budget for the uniformization engine (frontier\n"
+               "            classes processed, default 500000000)\n"
                "  --formulas=<file>  check a batch of formulas (one per line; blank\n"
                "            lines and '#' comments skipped) through one compiled plan\n"
                "            that deduplicates shared subformulas, solves, and\n"
@@ -131,6 +125,25 @@ bool parse_positive_double(const std::string& text, const char* flag, double& ou
     return true;
   } catch (const std::exception&) {
     std::fprintf(stderr, "mrmcheck: %s expects a positive number, got '%s'\n", flag,
+                 text.c_str());
+    return false;
+  }
+}
+
+/// Parses the value of --max-nodes= strictly: decimal digits only (no sign,
+/// no whitespace, no suffix) and positive — so `12abc` and `-5` fail loudly
+/// instead of being half-parsed or wrapped by stoull.
+bool parse_node_budget(const std::string& text, std::size_t& out) {
+  try {
+    if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos) {
+      throw std::invalid_argument(text);
+    }
+    const unsigned long long nodes = std::stoull(text);  // throws past the range
+    if (nodes == 0) throw std::invalid_argument(text);
+    out = static_cast<std::size_t>(nodes);
+    return true;
+  } catch (const std::exception&) {
+    std::fprintf(stderr, "mrmcheck: --max-nodes= expects a positive integer, got '%s'\n",
                  text.c_str());
     return false;
   }
@@ -317,33 +330,8 @@ int main(int argc, char** argv) {
                        policy.c_str());
           return 2;
         }
-      } else if (token.rfind("--until-engine=", 0) == 0) {
-        const std::string engine = token.substr(15);
-        if (engine == "auto") {
-          options.until_engine = checker::UntilEngine::kAuto;
-        } else if (engine == "classdp") {
-          options.until_engine = checker::UntilEngine::kClassDp;
-        } else if (engine == "dfpg") {
-          options.until_engine = checker::UntilEngine::kDfpg;
-        } else {
-          std::fprintf(stderr,
-                       "mrmcheck: --until-engine= expects 'auto', 'classdp' or 'dfpg', "
-                       "got '%s'\n",
-                       engine.c_str());
-          return 2;
-        }
       } else if (token.rfind("--max-nodes=", 0) == 0) {
-        const std::string value = token.substr(12);
-        try {
-          std::size_t consumed = 0;
-          const unsigned long long nodes = std::stoull(value, &consumed);
-          if (consumed != value.size() || nodes == 0) throw std::invalid_argument(value);
-          options.uniformization.max_nodes = static_cast<std::size_t>(nodes);
-        } catch (const std::exception&) {
-          std::fprintf(stderr, "mrmcheck: --max-nodes= expects a positive integer, got '%s'\n",
-                       value.c_str());
-          return 2;
-        }
+        if (!parse_node_budget(token.substr(12), options.uniformization.max_nodes)) return 2;
       } else if (token.rfind("--", 0) == 0) {
         std::fprintf(stderr, "mrmcheck: unknown option '%s'\n", token.c_str());
         usage();

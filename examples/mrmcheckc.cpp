@@ -3,8 +3,7 @@
 //   mrmcheckc --socket=<path> ping
 //   mrmcheckc --socket=<path> load <name> <model.spec | prefix>
 //   mrmcheckc --socket=<path> check <model> [w=<w>] [--max-nodes=N]
-//             [--deadline-ms=D] [--until-engine=e] [--fallback=p]
-//             "<formula>" ["<formula>" ...]
+//             [--deadline-ms=D] [--fallback=p] "<formula>" ["<formula>" ...]
 //   mrmcheckc --socket=<path> stats
 //   mrmcheckc --socket=<path> shutdown
 //
@@ -13,8 +12,11 @@
 // .rewr[/.rewi]) and prints its content fingerprint. `check` prints each
 // formula's verdict string ('Y'/'N'/'?' per state, 1-based) and numeric
 // values, mirroring mrmcheck's output. Exit codes: 0 ok, 1 daemon-side or
-// connection error, 2 usage, 4 batch completed but some formulas failed.
+// connection error, 2 usage (checked before connecting: an unknown `--`
+// option or a malformed --max-nodes= never reaches the daemon), 4 batch
+// completed but some formulas failed.
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -30,7 +32,6 @@ void usage() {
                "  ping\n"
                "  load <name> <model.spec | file-prefix>\n"
                "  check <model> [w=<w>] [--max-nodes=N] [--deadline-ms=D]\n"
-               "        [--until-engine=auto|classdp|dfpg]\n"
                "        [--fallback=throw|discretize|widen-w]\n"
                "        \"<formula>\" [\"<formula>\" ...]\n"
                "  stats\n"
@@ -40,6 +41,52 @@ void usage() {
 bool ends_with(const std::string& text, const char* suffix) {
   const std::string s(suffix);
   return text.size() >= s.size() && text.compare(text.size() - s.size(), s.size(), s) == 0;
+}
+
+/// Parses the value of --max-nodes= strictly: decimal digits only (no sign,
+/// no whitespace, no suffix) and positive — so `12abc` and `-5` fail loudly
+/// instead of being half-parsed or wrapped by stoull.
+bool parse_node_budget(const std::string& text, std::size_t& out) {
+  try {
+    if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos) {
+      throw std::invalid_argument(text);
+    }
+    const unsigned long long nodes = std::stoull(text);  // throws past the range
+    if (nodes == 0) throw std::invalid_argument(text);
+    out = static_cast<std::size_t>(nodes);
+    return true;
+  } catch (const std::exception&) {
+    std::fprintf(stderr, "mrmcheckc: --max-nodes= expects a positive integer, got '%s'\n",
+                 text.c_str());
+    return false;
+  }
+}
+
+/// Parses the arguments of `check` (the op and everything after it) into a
+/// request. Returns false on a usage error.
+bool parse_check(const std::vector<std::string>& args, csrlmrm::daemon::CheckRequest& check) {
+  if (args.size() < 3) return false;
+  check.model = args[1];
+  for (std::size_t i = 2; i < args.size(); ++i) {
+    const std::string& token = args[i];
+    if (token.rfind("w=", 0) == 0) {
+      check.options.w = std::stod(token.substr(2));
+    } else if (token.rfind("--max-nodes=", 0) == 0) {
+      std::size_t nodes = 0;
+      if (!parse_node_budget(token.substr(12), nodes)) return false;
+      check.options.max_nodes = nodes;
+    } else if (token.rfind("--deadline-ms=", 0) == 0) {
+      check.options.deadline_ms = std::stod(token.substr(14));
+    } else if (token.rfind("--fallback=", 0) == 0) {
+      check.options.fallback = token.substr(11);
+    } else if (token.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "mrmcheckc: unknown option '%s'\n", token.c_str());
+      return false;
+    } else {
+      check.formulas.push_back(token);
+    }
+  }
+  return !check.formulas.empty();
 }
 
 int print_check_reply(const csrlmrm::daemon::CheckReply& reply) {
@@ -100,10 +147,10 @@ int main(int argc, char** argv) {
   }
 
   try {
-    daemon::Client client(socket_path);
     const std::string& op = args[0];
 
     if (op == "ping" || op == "stats" || op == "shutdown") {
+      daemon::Client client(socket_path);
       JsonValue request = JsonValue::object();
       request.set("op", JsonValue(op));
       const JsonValue reply = client.roundtrip(request);
@@ -127,38 +174,19 @@ int main(int argc, char** argv) {
         request.set("rewr", JsonValue(args[2] + ".rewr"));
         request.set("rewi", JsonValue(args[2] + ".rewi"));
       }
+      daemon::Client client(socket_path);
       const JsonValue reply = client.roundtrip(request);
       std::printf("%s", obs::write_json(reply).c_str());
       return reply.at("ok").as_bool() ? 0 : 1;
     }
 
     if (op == "check") {
-      if (args.size() < 3) {
-        usage();
-        return 2;
-      }
       daemon::CheckRequest check;
-      check.model = args[1];
-      for (std::size_t i = 2; i < args.size(); ++i) {
-        const std::string& token = args[i];
-        if (token.rfind("w=", 0) == 0) {
-          check.options.w = std::stod(token.substr(2));
-        } else if (token.rfind("--max-nodes=", 0) == 0) {
-          check.options.max_nodes = static_cast<std::size_t>(std::stoull(token.substr(12)));
-        } else if (token.rfind("--deadline-ms=", 0) == 0) {
-          check.options.deadline_ms = std::stod(token.substr(14));
-        } else if (token.rfind("--until-engine=", 0) == 0) {
-          check.options.until_engine = token.substr(15);
-        } else if (token.rfind("--fallback=", 0) == 0) {
-          check.options.fallback = token.substr(11);
-        } else {
-          check.formulas.push_back(token);
-        }
-      }
-      if (check.formulas.empty()) {
+      if (!parse_check(args, check)) {
         usage();
         return 2;
       }
+      daemon::Client client(socket_path);
       const JsonValue reply = client.roundtrip(daemon::check_request_to_json(check));
       return print_check_reply(daemon::check_reply_from_json(reply));
     }

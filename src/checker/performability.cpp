@@ -3,8 +3,8 @@
 #include <stdexcept>
 
 #include "checker/steady.hpp"
+#include "numeric/class_explorer.hpp"
 #include "numeric/discretization.hpp"
-#include "numeric/path_explorer.hpp"
 #include "numeric/transient.hpp"
 #include "obs/stats.hpp"
 
@@ -40,7 +40,7 @@ PerformabilityValue performability(const core::Mrm& model, core::StateIndex star
   const std::vector<bool> everything(model.num_states(), true);
   if (options.until_method == UntilMethod::kUniformization) {
     const std::vector<bool> nothing(model.num_states(), false);
-    numeric::UniformizationUntilEngine engine(model, everything, nothing);
+    const numeric::SignatureClassUntilEngine engine(model, everything, nothing);
     const auto result = engine.compute(start, t, r, options.uniformization);
     // Truncation only loses mass: the truth lies in [p, p + error].
     return {result.probability, result.error_bound,
@@ -62,10 +62,10 @@ std::vector<PerformabilityValue> performability_cdf(const core::Mrm& model,
   values.reserve(reward_bounds.size());
   const std::vector<bool> everything(model.num_states(), true);
   if (options.until_method == UntilMethod::kUniformization) {
-    // Build the engine once; each bound re-walks the (truncated) path set
-    // but shares the uniformization preprocessing.
+    // Build the engine once; each bound re-runs the (truncated) frontier
+    // sweep but shares the uniformization preprocessing.
     const std::vector<bool> nothing(model.num_states(), false);
-    numeric::UniformizationUntilEngine engine(model, everything, nothing);
+    const numeric::SignatureClassUntilEngine engine(model, everything, nothing);
     for (const double r : reward_bounds) {
       const auto result = engine.compute(start, t, r, options.uniformization);
       values.push_back(

@@ -24,8 +24,8 @@
 namespace csrlmrm::checker {
 
 /// A performability value with the error bound of the engine that produced
-/// it (DFPG truncation mass, or the derived O(d) discretization band) and
-/// the rigorous interval containing the true value.
+/// it (uniformization truncation mass, or the derived O(d) discretization
+/// band) and the rigorous interval containing the true value.
 struct PerformabilityValue {
   double probability = 0.0;
   double error_bound = 0.0;

@@ -11,11 +11,9 @@
 #include "linalg/gauss_seidel.hpp"
 #include "numeric/class_explorer.hpp"
 #include "numeric/discretization.hpp"
-#include "numeric/path_explorer.hpp"
 #include "numeric/poisson.hpp"
 #include "numeric/transient.hpp"
 #include "obs/stats.hpp"
-#include "parallel/thread_pool.hpp"
 #include "core/approx.hpp"
 
 namespace csrlmrm::checker {
@@ -39,6 +37,13 @@ std::shared_ptr<const core::Mrm> absorbing_model(const core::Mrm& model,
                                                  core::TransformCache* transforms) {
   if (transforms != nullptr) return transforms->absorbing(model, absorb);
   return std::make_shared<const core::Mrm>(core::make_absorbing(model, absorb));
+}
+
+/// The O(1) conditions of the up-front discretization rule (see
+/// choose_until_method).
+bool may_discretize_up_front(const core::Mrm& transformed, const CheckerOptions& options) {
+  return options.on_budget_exhausted != BudgetPolicy::kThrow &&
+         !transformed.has_impulse_rewards();
 }
 
 }  // namespace
@@ -101,7 +106,7 @@ std::vector<double> unbounded_until_probabilities(const core::Mrm& model,
   return result;
 }
 
-AutoEngineChoice choose_until_engine(const core::Mrm& transformed, double t,
+AutoEngineChoice choose_until_method(const core::Mrm& transformed, double t,
                                      const CheckerOptions& options) {
   AutoEngineChoice choice;
   const std::size_t n = transformed.num_states();
@@ -109,42 +114,30 @@ AutoEngineChoice choose_until_engine(const core::Mrm& transformed, double t,
     if (transformed.rates().exit_rate(s) > 0.0) ++choice.live_states;
   }
   const double mean = transformed.rates().max_exit_rate() * t;
-  // Pr{N > levels} <= w: no uniformization engine looks past this epoch, and
-  // even a perfectly merging frontier processes at least one class per live
-  // state per level, so live * levels lower-bounds any engine's node count.
+  // Pr{N > levels} <= w: the engine never looks past this epoch, and even a
+  // perfectly merging frontier processes at least one class per live state
+  // per level, so live * levels lower-bounds its node count.
   choice.poisson_levels =
       mean > 0.0 ? numeric::poisson_truncation_point(
                        mean, options.uniformization.truncation_probability)
                  : 0;
-  if (options.on_budget_exhausted != BudgetPolicy::kThrow &&
-      !transformed.has_impulse_rewards() &&
+  if (may_discretize_up_front(transformed, options) &&
       static_cast<double>(choice.live_states) * static_cast<double>(choice.poisson_levels) >
           static_cast<double>(options.uniformization.max_nodes)) {
-    // Uniformization is provably over budget before exploring anything, and
-    // without impulse rewards a valid discretization step always exists —
-    // skip straight to the engine the BudgetPolicy chain would end up in.
-    // (Under kThrow every degradation is disabled, so auto must not switch
-    // methods behind the user's back either: run uniformization and fail
-    // loudly.)
+    // Uniformization is provably over budget before exploring anything —
+    // skip straight to the method the BudgetPolicy chain would end up in.
     choice.method = UntilMethod::kDiscretization;
-    return choice;
   }
-  if (!options.uniformization.aggregate_signatures) {
-    // The per-path Omega-evaluation ablation only the DFS engine implements.
-    choice.engine = UntilEngine::kDfpg;
-    return choice;
-  }
-  choice.engine = UntilEngine::kClassDp;
-  choice.adaptive_hybrid = true;
   return choice;
 }
 
 namespace {
 
-/// Discretization options usable as an automatic *fallback* for a query the
-/// path explorer abandoned: the configured step is adapted so it satisfies
-/// d * E_max < 1 and divides t (explicit discretization runs keep the user's
-/// step untouched and fail loudly instead).
+/// Discretization options usable as an automatic *fallback* for a query
+/// uniformization abandoned (or provably would): the configured step is
+/// adapted so it satisfies d * E_max < 1 and divides t (explicit
+/// discretization runs keep the user's step untouched and fail loudly
+/// instead).
 numeric::DiscretizationOptions adapted_discretization_options(
     const core::Mrm& transformed, double t, numeric::DiscretizationOptions base) {
   const double max_exit = transformed.rates().max_exit_rate();
@@ -155,99 +148,64 @@ numeric::DiscretizationOptions adapted_discretization_options(
   return base;
 }
 
-/// One uniformization query with the configured degradation policy applied
-/// on node-budget exhaustion (see BudgetPolicy). Runs inside the per-state
-/// fan-out, so a budget-exhausting start state degrades alone while the
-/// cheap ones keep their DFPG answer. A start that still needs the
-/// discretization fallback gets no value, only the engine's diagnosis in
-/// `budget_error`; the caller answers every such start with one sweep after
-/// the fan-out.
-void uniformization_value_with_degradation(const numeric::UniformizationUntilEngine& engine,
-                                           core::StateIndex s, double t, double r,
-                                           const CheckerOptions& options, UntilValue& value,
-                                           std::optional<std::string>& budget_error) {
+/// The class-DP batch under the configured budget policy: the configured w
+/// first, then — under kWidenW — w widened by 1000x per retry up to 1e-2.
+/// Returns nothing when every attempt exhausted the budget (the first
+/// diagnosis lands in `budget_error`); under kThrow the error propagates.
+std::optional<std::vector<numeric::UntilUniformizationResult>> class_dp_within_budget(
+    const numeric::SignatureClassUntilEngine& engine,
+    const std::vector<core::StateIndex>& starts, double t, double r,
+    const CheckerOptions& options, std::string& budget_error) {
   try {
-    const auto result = engine.compute(s, t, r, options.uniformization);
-    value = truncated_until_value(result.probability, result.error_bound);
+    return engine.compute_batch(starts, t, r, options.uniformization);
   } catch (const numeric::NodeBudgetError& error) {
     if (options.on_budget_exhausted == BudgetPolicy::kThrow) throw;
-    if (options.on_budget_exhausted == BudgetPolicy::kWidenW) {
-      numeric::PathExplorerOptions widened = options.uniformization;
-      double w = widened.truncation_probability;
-      while (w < 1e-2) {
-        w = std::min(w * 1e3, 1e-2);
-        widened.truncation_probability = w;
-        try {
-          const auto result = engine.compute(s, t, r, widened);
-          obs::counter_add("uniformization.widenings");
-          value = truncated_until_value(result.probability, result.error_bound);
-          return;
-        } catch (const numeric::NodeBudgetError&) {
-          // still too large; widen further, or fall through to discretization
-        }
-      }
-    }
     budget_error = error.what();
   }
-}
-
-/// The discretization fallback for the start states the per-state fan-out
-/// could not answer: one adapted-step sweep answers them all.
-void discretization_fallback(const core::Mrm& transformed, const std::vector<bool>& sat_psi,
-                             double t, double r, const CheckerOptions& options,
-                             const std::vector<std::optional<std::string>>& budget_errors,
-                             std::vector<UntilValue>& values) {
-  const auto first = std::find_if(budget_errors.begin(), budget_errors.end(),
-                                  [](const auto& error) { return error.has_value(); });
-  if (first == budget_errors.end()) return;
-  numeric::UntilDiscretizationResult result;
-  try {
-    result = numeric::until_probabilities_discretization(
-        transformed, sat_psi, t, r,
-        adapted_discretization_options(transformed, t, options.discretization));
-  } catch (const std::invalid_argument& fallback_error) {
-    // The degradation path is itself infeasible (e.g. impulse rewards not
-    // commensurable with any reasonable step). Re-raise the budget error
-    // (of the lowest degraded start) with both diagnoses so the user can
-    // pick a remedy.
-    throw numeric::NodeBudgetError(**first + "; fallback to discretization also failed: " +
-                                   fallback_error.what() +
-                                   " (raise max_nodes, widen w, or adjust rewards)");
+  if (options.on_budget_exhausted != BudgetPolicy::kWidenW) return std::nullopt;
+  numeric::PathExplorerOptions widened = options.uniformization;
+  while (widened.truncation_probability < 1e-2) {
+    widened.truncation_probability = std::min(widened.truncation_probability * 1e3, 1e-2);
+    try {
+      auto batch = engine.compute_batch(starts, t, r, widened);
+      obs::counter_add("uniformization.widenings");
+      return batch;
+    } catch (const numeric::NodeBudgetError&) {
+      // still too large; widen further, or fall through to discretization
+    }
   }
-  for (core::StateIndex s = 0; s < values.size(); ++s) {
-    if (!budget_errors[s]) continue;
-    values[s] = two_sided_until_value(result.probabilities[s], result.error_bound);
-    obs::counter_add("uniformization.fallbacks");
-  }
+  return std::nullopt;
 }
 
 /// Shared P2 evaluation: Pr{ Y(t) <= r, X(t) |= Psi } on `transformed` for
-/// every state, by the configured engine. `dead` marks !Phi && !Psi states.
-/// When `psi_absorbed` is set (the [0,t] reduction, where Psi-states were
-/// made absorbing with zero rewards), Psi starting states score exactly 1 —
-/// case 1 of eq. (3.6) — without burning engine time on them.
+/// every state. `dead` marks !Phi && !Psi states. When `psi_absorbed` is set
+/// (the [0,t] reduction, where Psi-states were made absorbing with zero
+/// rewards), Psi starting states score exactly 1 — case 1 of eq. (3.6) —
+/// without burning engine time on them.
+///
+/// Uniformization runs one class-DP batch over every non-trivial start. On
+/// budget exhaustion the BudgetPolicy chain is batch-level too: the same
+/// batch at a widened w (kWidenW), then one adapted-step discretization
+/// sweep answering every non-trivial start.
 std::vector<UntilValue> bounded_time_reward(const core::Mrm& transformed,
                                             const std::vector<bool>& sat_psi,
                                             const std::vector<bool>& dead, double t, double r,
                                             const CheckerOptions& caller_options,
                                             bool psi_absorbed) {
   CheckerOptions options = caller_options;
-  if (options.until_method == UntilMethod::kUniformization &&
-      options.until_engine == UntilEngine::kAuto) {
-    const AutoEngineChoice choice = choose_until_engine(transformed, t, options);
-    options.until_method = choice.method;
-    options.until_engine = choice.engine;
-    if (choice.adaptive_hybrid) options.uniformization.adaptive_hybrid = true;
-    if (choice.method == UntilMethod::kDiscretization) {
-      // The auto path adapts the step like the budget-exhaustion fallback
-      // does; only an *explicit* d=step run keeps the user's step untouched.
+  if (options.until_method == UntilMethod::kUniformization) {
+    // The cheap guards go first, so impulse-reward models (and kThrow runs)
+    // never pay for the cost model's Poisson scan.
+    if (may_discretize_up_front(transformed, options) &&
+        choose_until_method(transformed, t, options).method == UntilMethod::kDiscretization) {
+      // The up-front switch adapts the step like the budget-exhaustion
+      // fallback does; only an *explicit* d=step run keeps the user's step.
+      options.until_method = UntilMethod::kDiscretization;
       options.discretization =
           adapted_discretization_options(transformed, t, options.discretization);
       obs::counter_add("engine.auto_choice.discretization");
-    } else if (choice.engine == UntilEngine::kClassDp) {
-      obs::counter_add("engine.auto_choice.classdp");
     } else {
-      obs::counter_add("engine.auto_choice.dfpg");
+      obs::counter_add("engine.auto_choice.classdp");
     }
   }
   obs::ScopedTimer timer(options.until_method == UntilMethod::kUniformization
@@ -272,58 +230,48 @@ std::vector<UntilValue> bounded_time_reward(const core::Mrm& transformed,
     }
     return values;
   }
-  if (options.until_engine == UntilEngine::kClassDp) {
-    // Signature-class DP: every non-trivial start state rides one batched
-    // frontier sweep (one engine run, one conditional-probability evaluation
-    // per signature class for the whole fan-out). Trivial starts are scored
-    // directly: absorbed Psi-states exactly 1, dead states exactly 0 —
-    // matching what the DFPG per-state loop produces.
-    std::vector<core::StateIndex> starts;
-    for (core::StateIndex s = 0; s < n; ++s) {
-      if (trivially_one(s)) {
-        values[s] = exact_until_value(1.0);
-      } else if (dead[s]) {
-        values[s] = truncated_until_value(0.0, 0.0);
-      } else {
-        starts.push_back(s);
-      }
-    }
-    if (starts.empty()) return values;
-    const numeric::SignatureClassUntilEngine engine(transformed, sat_psi, dead);
-    try {
-      const auto batch = engine.compute_batch(starts, t, r, options.uniformization);
-      for (std::size_t i = 0; i < starts.size(); ++i) {
-        values[starts[i]] =
-            truncated_until_value(batch[i].probability, batch[i].error_bound);
-      }
-      return values;
-    } catch (const numeric::NodeBudgetError&) {
-      if (options.on_budget_exhausted == BudgetPolicy::kThrow) throw;
-      // The whole-batch class budget is exhausted: degrade to the per-state
-      // DFPG fan-out below, whose own degradation chain (widening /
-      // discretization, see BudgetPolicy) handles each start individually.
-      obs::counter_add("classdp.fallbacks");
+  // Every non-trivial start state rides one batched frontier sweep (one
+  // engine run, one conditional-probability evaluation per signature class
+  // for the whole fan-out). Trivial starts are scored directly: absorbed
+  // Psi-states exactly 1, dead states exactly 0.
+  std::vector<core::StateIndex> starts;
+  for (core::StateIndex s = 0; s < n; ++s) {
+    if (trivially_one(s)) {
+      values[s] = exact_until_value(1.0);
+    } else if (dead[s]) {
+      values[s] = truncated_until_value(0.0, 0.0);
+    } else {
+      starts.push_back(s);
     }
   }
-  // Every start state is an independent DFPG query on the one shared engine
-  // (its compute() is const and touches only per-call state), so the start
-  // states fan out over the thread pool. When the fan-out runs parallel,
-  // nested engine-level regions stay inline; when it runs serial
-  // (threads == 1), the engine is free to use its own thread options.
-  const numeric::UniformizationUntilEngine engine(transformed, sat_psi, dead);
-  std::vector<std::optional<std::string>> budget_errors(n);
-  const unsigned threads = parallel::resolve_thread_count(options.threads);
-  parallel::parallel_for(n, threads, [&](std::size_t begin, std::size_t end) {
-    for (core::StateIndex s = begin; s < end; ++s) {
-      if (trivially_one(s)) {
-        values[s] = exact_until_value(1.0);
-        continue;
-      }
-      uniformization_value_with_degradation(engine, s, t, r, options, values[s],
-                                            budget_errors[s]);
+  if (starts.empty()) return values;
+  const numeric::SignatureClassUntilEngine engine(transformed, sat_psi, dead);
+  std::string budget_error;
+  if (const auto batch = class_dp_within_budget(engine, starts, t, r, options, budget_error)) {
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+      values[starts[i]] = truncated_until_value((*batch)[i].probability, (*batch)[i].error_bound);
     }
-  });
-  discretization_fallback(transformed, sat_psi, t, r, options, budget_errors, values);
+    return values;
+  }
+  // Still over budget: one adapted-step sweep answers every start the DP
+  // could not.
+  numeric::UntilDiscretizationResult result;
+  try {
+    result = numeric::until_probabilities_discretization(
+        transformed, sat_psi, t, r,
+        adapted_discretization_options(transformed, t, options.discretization));
+  } catch (const std::invalid_argument& fallback_error) {
+    // The degradation path is itself infeasible (e.g. impulse rewards not
+    // commensurable with any reasonable step). Re-raise the budget error
+    // with both diagnoses so the user can pick a remedy.
+    throw numeric::NodeBudgetError(budget_error + "; fallback to discretization also failed: " +
+                                   fallback_error.what() +
+                                   " (raise max_nodes, widen w, or adjust rewards)");
+  }
+  for (const core::StateIndex s : starts) {
+    values[s] = two_sided_until_value(result.probabilities[s], result.error_bound);
+  }
+  obs::counter_add("uniformization.fallbacks", starts.size());
   return values;
 }
 

@@ -8,7 +8,7 @@
 //                                  (transient analysis of M[!Phi] to t1,
 //                                  then the [0, t2-t1] problem from every
 //                                  Phi-state); reward bound must be trivial
-//   P2: Phi U^[0,t]_[0,r] Psi    — uniformization/DFPG or discretization on
+//   P2: Phi U^[0,t]_[0,r] Psi    — uniformization or discretization on
 //                                  M[!Phi v Psi] (Theorems 4.1 + 4.3)
 //   point-interval variant Phi U^[t,t]_[0,r] Psi with Psi => Phi
 //                                — same engines on M[!Phi && !Psi]
@@ -31,7 +31,7 @@ namespace csrlmrm::checker {
 struct UntilValue {
   double probability = 0.0;
   /// A-priori bound on the one-sided error: for the truncating engines
-  /// (Fox-Glynn transient, DFPG uniformization) the probability mass lost
+  /// (Fox-Glynn transient, uniformization) the probability mass lost
   /// below the reported value; for discretization the half-width of the
   /// derived O(d) error band. 0 for exact graph/linear-algebra methods.
   double error_bound = 0.0;
@@ -57,42 +57,33 @@ inline UntilValue two_sided_until_value(double p, double half_width) {
   return {p, half_width, ProbabilityBound::from_point_error(p, half_width, half_width)};
 }
 
-/// Resolution of UntilEngine::kAuto for one P2-class query: the method and
-/// engine the up-front cost model picked, and whether the class-DP adaptive
-/// hybrid escalation (PathExplorerOptions::adaptive_hybrid) is switched on.
+/// The up-front method choice for one P2-class query: uniformization (the
+/// signature-class DP with its adaptive hybrid) unless the cost model proves
+/// it over budget, plus the cost model's inputs for the plan printer.
 struct AutoEngineChoice {
   /// kDiscretization only when uniformization is provably over budget (see
-  /// choose_until_engine); kUniformization otherwise.
+  /// choose_until_method); kUniformization otherwise.
   UntilMethod method = UntilMethod::kUniformization;
-  /// kClassDp or kDfpg — never kAuto; not consulted when method is
-  /// kDiscretization.
-  UntilEngine engine = UntilEngine::kClassDp;
-  /// True iff engine == kClassDp: auto always arms the hybrid escalation so
-  /// merge-hostile instances hand off mid-query instead of losing to DFPG.
-  bool adaptive_hybrid = false;
-  /// The cost model's inputs, for the plan printer: non-absorbing states of
-  /// the transformed model and the Poisson truncation depth at horizon t.
+  /// Non-absorbing states of the transformed model and the Poisson
+  /// truncation depth at horizon t.
   std::size_t live_states = 0;
   std::size_t poisson_levels = 0;
 };
 
-/// The up-front cost model behind --until-engine=auto, resolved per P2 query
-/// on the *transformed* model M[!Phi v Psi] with time bound t:
-///   1. discretization — when even a perfectly merging frontier is over the
-///      node budget (live states x Poisson levels > max_nodes, a lower bound
-///      on any uniformization engine's work), the model has no impulse
-///      rewards (so a discretization step always exists), and the budget
-///      policy is not kThrow (which forbids degrading behind the user's
-///      back — there auto runs uniformization and fails loudly);
-///   2. dfpg — when aggregate_signatures is off: that ablation knob requests
-///      per-path Omega evaluation, which only the DFS engine implements;
-///   3. classdp with adaptive_hybrid otherwise (the common case): batched
-///      merging where it pays, coarsening/DFS hand-off where it does not.
-/// Deterministic, O(states), and exported so the plan compiler and the
-/// benchmarks can record the choice the checker would make. The decision lands in the
-/// `engine.auto_choice.{classdp,dfpg,discretization}` counters when the
-/// checker applies it.
-AutoEngineChoice choose_until_engine(const core::Mrm& transformed, double t,
+/// The up-front cost model of a uniformization P2 query, on the
+/// *transformed* model M[!Phi v Psi] with time bound t: discretization when
+///   - the budget policy permits degrading (kThrow forbids switching methods
+///     behind the user's back — there uniformization runs and fails loudly),
+///   - the model has no impulse rewards (so a discretization step always
+///     exists), and
+///   - even a perfectly merging frontier is over the node budget (live
+///     states x Poisson levels > max_nodes, a lower bound on the engine's
+///     work);
+/// uniformization otherwise. Deterministic and O(states + Lambda*t); the
+/// plan compiler records it for --explain and the checker applies it
+/// (counted in `engine.auto_choice.{classdp,discretization}`), testing the
+/// two O(1) conditions first.
+AutoEngineChoice choose_until_method(const core::Mrm& transformed, double t,
                                      const CheckerOptions& options);
 
 /// P(s, Phi U Psi) for every state s: the unbounded-until probabilities of

@@ -18,7 +18,7 @@
 // baseline — so a vectorized loop produces bit-identical results to its
 // scalar remainder, lane for lane. tests/test_simd_kernels.cpp property-
 // tests this against the scalar spellings over random inputs, and the
-// engine-level determinism checks (1/2/8 threads, dfpg-vs-classdp
+// engine-level determinism checks (1/2/8 threads, classdp-vs-DFPG-oracle
 // agreement) run on top of these kernels.
 //
 // lint:allow-file(reserved-identifier) -- the vector_size attribute and the

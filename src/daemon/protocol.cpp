@@ -1,9 +1,14 @@
 #include "daemon/protocol.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
+
+#include "core/approx.hpp"
 
 namespace csrlmrm::daemon {
 
@@ -31,13 +36,28 @@ const JsonValue* optional_member(const JsonValue& object, std::string_view key) 
   return member;
 }
 
+/// A positive integer option. JSON numbers are doubles, so only values up
+/// to 2^53 are exact integers; larger, fractional, non-finite or
+/// non-positive values are rejected rather than truncated or cast out of
+/// range.
 std::size_t as_size(const JsonValue& value, const char* what) {
+  constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
   const double n = value.as_number();
   if (!(n >= 1.0) || !std::isfinite(n)) {
     throw std::invalid_argument(std::string(what) + " must be a positive integer");
   }
+  if (!core::exactly_equal(std::floor(n), n)) {
+    throw std::invalid_argument(std::string(what) + " must be an integer, got a fraction");
+  }
+  if (n > kMaxExactInteger) {
+    throw std::invalid_argument(std::string(what) + " must be at most 2^53");
+  }
   return static_cast<std::size_t>(n);
 }
+
+/// The check options a request may carry; anything else is rejected so a
+/// misspelled or retired option fails loudly instead of being ignored.
+constexpr std::string_view kCheckOptionKeys[] = {"w", "max_nodes", "deadline_ms", "fallback"};
 
 }  // namespace
 
@@ -55,18 +75,6 @@ checker::CheckerOptions apply_overrides(checker::CheckerOptions base,
       throw std::invalid_argument("check option 'max_nodes' must be positive");
     }
     base.uniformization.max_nodes = *overrides.max_nodes;
-  }
-  if (overrides.until_engine) {
-    const std::string& engine = *overrides.until_engine;
-    if (engine == "auto") {
-      base.until_engine = checker::UntilEngine::kAuto;
-    } else if (engine == "classdp") {
-      base.until_engine = checker::UntilEngine::kClassDp;
-    } else if (engine == "dfpg") {
-      base.until_engine = checker::UntilEngine::kDfpg;
-    } else {
-      throw std::invalid_argument("unknown until_engine '" + engine + "'");
-    }
   }
   if (overrides.fallback) {
     const std::string& policy = *overrides.fallback;
@@ -94,8 +102,6 @@ std::string batch_key(const CheckRequest& request) {
   key += '\x1f';
   if (request.options.max_nodes) key += "n=" + std::to_string(*request.options.max_nodes);
   key += '\x1f';
-  if (request.options.until_engine) key += *request.options.until_engine;
-  key += '\x1f';
   if (request.options.fallback) key += *request.options.fallback;
   return key;
 }
@@ -115,9 +121,6 @@ JsonValue check_request_to_json(const CheckRequest& request) {
   if (request.options.deadline_ms) {
     options.set("deadline_ms", JsonValue(*request.options.deadline_ms));
   }
-  if (request.options.until_engine) {
-    options.set("until_engine", JsonValue(*request.options.until_engine));
-  }
   if (request.options.fallback) options.set("fallback", JsonValue(*request.options.fallback));
   if (!options.members().empty()) object.set("options", std::move(options));
   return object;
@@ -136,15 +139,19 @@ CheckRequest check_request_from_json(const JsonValue& value) {
   for (const JsonValue& item : formulas->items()) request.formulas.push_back(item.as_string());
   if (const JsonValue* options = optional_member(value, "options")) {
     if (!options->is_object()) throw std::invalid_argument("'options' must be an object");
+    for (const auto& [key, member] : options->members()) {
+      if (std::find(std::begin(kCheckOptionKeys), std::end(kCheckOptionKeys), key) ==
+          std::end(kCheckOptionKeys)) {
+        throw std::invalid_argument("unknown check option '" + key +
+                                    "' (expected w, max_nodes, deadline_ms or fallback)");
+      }
+    }
     if (const JsonValue* w = optional_member(*options, "w")) request.options.w = w->as_number();
     if (const JsonValue* nodes = optional_member(*options, "max_nodes")) {
       request.options.max_nodes = as_size(*nodes, "max_nodes");
     }
     if (const JsonValue* deadline = optional_member(*options, "deadline_ms")) {
       request.options.deadline_ms = deadline->as_number();
-    }
-    if (const JsonValue* engine = optional_member(*options, "until_engine")) {
-      request.options.until_engine = engine->as_string();
     }
     if (const JsonValue* fallback = optional_member(*options, "fallback")) {
       request.options.fallback = fallback->as_string();

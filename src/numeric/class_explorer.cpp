@@ -23,7 +23,7 @@ namespace {
 /// keeps the truncation rule conservative).
 constexpr double kMaxPrefixCount = 1e300;
 
-/// Adaptive-hybrid trigger (PathExplorerOptions::adaptive_hybrid). A level is
+/// Adaptive-hybrid trigger. A level is
 /// "ineffective" when the fold kept >= 7/10 of the raw successor rows AND the
 /// raw count is at least kAdaptMinRawRows — the absolute floor matters:
 /// workloads with tiny frontiers (e.g. TMR-deep, < 500 rows/level at fold
@@ -314,21 +314,19 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
     // Prune per class and slot: a class aggregating c prefixes is cut for a
     // slot when pmf * mass < w * c, i.e. when the *average* prefix weight
     // falls below w — the faithful aggregate of the per-path rule (4.4), so
-    // the exploration volume matches the DFS engine's at equal w instead of
-    // keeping a class alive as long as its total merged mass clears w. Cut
-    // mass — and every slot once the depth bound N is exceeded (eq. 4.3) —
-    // moves into the error bound, weighted by the Poisson tail
-    // Pr{ N >= level } (eq. 4.6), exactly as in the per-path rule.
+    // the exploration volume matches DFPG's at equal w instead of keeping a
+    // class alive as long as its total merged mass clears w. Cut mass moves
+    // into the error bound, weighted by the Poisson tail Pr{ N >= level }
+    // (eq. 4.6), exactly as in the per-path rule.
     const double pmf = poisson_pmf(level, mean);
     const double tail = poisson_tail->tail(level);
-    const bool too_deep = options.depth_truncation != 0 && level > options.depth_truncation;
     std::size_t write = 0;
     for (std::size_t idx = 0; idx < frontier.size(); ++idx) {
       bool live = false;
       for (std::size_t i = 0; i < slots; ++i) {
         double& weight = frontier.weights[idx * slots + i];
         if (core::exactly_zero(weight)) continue;
-        if (too_deep || pmf * weight < w * frontier.counts[idx * slots + i]) {
+        if (pmf * weight < w * frontier.counts[idx * slots + i]) {
           ++truncated;
           results[i].error_bound += weight * tail;
           weight = 0.0;
@@ -410,7 +408,7 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
 
     // Adaptive escalation: ratio and row counts are thread-invariant, so the
     // trigger fires at the same level for every thread count.
-    if (options.adaptive_hybrid && !frontier.empty()) {
+    if (!frontier.empty()) {
       const bool ineffective =
           total >= kAdaptMinRawRows && frontier.size() * kAdaptRatioDen >= total * kAdaptRatioNum;
       ineffective_streak = ineffective ? ineffective_streak + 1 : 0;
@@ -526,14 +524,12 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
         const std::size_t level = handoff_level + frame_depth;
         const double pmf = pmf_at(level);
         const double tail = poisson_tail->tail(level);
-        const bool too_deep =
-            options.depth_truncation != 0 && level > options.depth_truncation;
         double* wrow = w_stack.data() + frame_depth * slots;
         double* crow = c_stack.data() + frame_depth * slots;
         bool live = false;
         for (std::size_t i = 0; i < slots; ++i) {
           if (core::exactly_zero(wrow[i])) continue;
-          if (too_deep || pmf * wrow[i] < w * crow[i]) {
+          if (pmf * wrow[i] < w * crow[i]) {
             ++cs.truncated;
             cs.error[i] += wrow[i] * tail;
             wrow[i] = 0.0;

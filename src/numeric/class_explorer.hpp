@@ -1,10 +1,12 @@
 // Signature-class dynamic-programming engine for uniformization-based until
-// checking — the layered alternative to the depth-first path generator of
-// path_explorer.hpp.
+// checking — the checker's one uniformization engine for P2-class until
+// formulas (eq. 4.5 with the error bound of eq. 4.6).
 //
-// The DFS engine enumerates uniformized paths one by one and only merges
-// their probabilities after harvesting, so its cost grows with the number of
-// path prefixes. This engine advances a *frontier* of equivalence classes
+// The thesis's depth-first path generator (Algorithm 4.7, kept as the test
+// oracle tests/dfpg_oracle.hpp) enumerates uniformized paths one by one and
+// only merges their probabilities after harvesting, so its cost grows with
+// the number of path prefixes. This engine advances a *frontier* of
+// equivalence classes
 //
 //   (current state, reward signature (k, j))  ->  probability mass
 //
@@ -16,7 +18,7 @@
 // signature collisions (few distinct rewards, many interleavings) the
 // frontier stays polynomial where the DFS tree is exponential.
 //
-// Error accounting matches the DFS engine's eq. (4.4)/(4.6) discipline,
+// Error accounting follows DFPG's eq. (4.4)/(4.6) discipline,
 // lifted to merged classes: alongside its mass every class tracks how many
 // path prefixes it aggregates, and a class is cut at level n when
 // PoissonPmf(n) * mass < w * count — i.e. when the *average* prefix weight
@@ -26,7 +28,7 @@
 // exploring far more than the DFS does at equal w.) Cut mass contributes
 // mass * Pr{ N >= n } to the error bound exactly as in eq. (4.6), so the
 // returned probability p brackets the exact value as p <= p_exact <=
-// p + error_bound and the two engines agree within the sum of their
+// p + error_bound and the DP and the DFS agree within the sum of their
 // reported bounds.
 //
 // Multi-start batching: the checker's until fan-out queries the same formula
@@ -34,18 +36,17 @@
 // carries one weight slot per queried start through a single frontier sweep;
 // classes reached from several starts are stored once and each conditional
 // probability is evaluated once for the whole batch. Slots are fully
-// independent (pruning, error, harvest are per-slot), so a batch run is
-// bitwise identical to the corresponding single-start runs.
+// independent (pruning, error, harvest are per-slot).
 //
 // Parallelism: per-level frontier expansion is data-parallel (each class
 // writes its successors into a precomputed disjoint slice), and merging
 // sorts the successor array before folding adjacent equal keys, so results
 // are bitwise identical at every thread count.
 //
-// Adaptive hybrid mode (PathExplorerOptions::adaptive_hybrid): merging is
-// only worth the per-level sort when classes actually collide. The engine
-// tracks the fold ratio per level and, after two consecutive large levels
-// where folding kept >= 3/4 of the raw rows, escalates in two steps:
+// Adaptive hybrid: merging is only worth the per-level sort when classes
+// actually collide. The engine tracks the fold ratio per level and, after
+// two consecutive large levels where folding kept >= 7/10 of the raw rows,
+// escalates in two steps:
 //   1. coarsen — replace the per-class impulse counts j by the 40-bit-snapped
 //      impulse total sum_i i_i j_i (the conditional probability of eq. 4.9
 //      depends on j only through that total via the threshold r'; snapping
@@ -55,29 +56,75 @@
 //      continuation (identical prune/budget/error/harvest semantics, no
 //      further merge attempts), run once for the whole batch.
 // Both escalations preserve thread-count determinism (the trigger sees
-// thread-invariant row counts; the continuation is serial in deterministic
-// order), but batch runs are no longer bitwise equal to per-start single
-// runs, so the mode defaults to off and is enabled by the checker's
-// --until-engine=auto path. Observability: "classdp.coarsenings",
-// "classdp.hybrid_handoffs".
+// thread-invariant row counts; the continuation is chunked in a fixed
+// layout). A batch is bitwise equal to the corresponding single-start runs
+// as long as no level reaches the trigger's row floor; past it the trigger
+// sees different frontier sizes and may fire at a different level.
+// Observability: "classdp.coarsenings", "classdp.hybrid_handoffs".
 #pragma once
 
 #include <cstddef>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/mrm.hpp"
-#include "numeric/path_explorer.hpp"
 #include "numeric/poisson.hpp"
 #include "numeric/signature_model.hpp"
 
 namespace csrlmrm::numeric {
 
+/// Thrown when the engine exceeds PathExplorerOptions::max_nodes. Typed so the
+/// checker can distinguish "model too large for path enumeration" (and apply
+/// its degradation policy, see checker::BudgetPolicy) from genuine input
+/// errors.
+class NodeBudgetError : public std::runtime_error {
+ public:
+  explicit NodeBudgetError(const std::string& message) : std::runtime_error(message) {}
+};
+
+/// Tuning knobs for the uniformization engine.
+struct PathExplorerOptions {
+  /// Truncation probability w: classes whose average prefix weight
+  /// P(sigma, t) drops below w are cut and accounted in the error bound.
+  /// Must be in (0, 1).
+  double truncation_probability = 1e-8;
+  /// Safety valve: abort (NodeBudgetError) after this many frontier classes
+  /// processed — uniformization is only practical for small Lambda*t
+  /// (thesis, ch. 6) and this keeps runaway instances diagnosable.
+  std::size_t max_nodes = 500'000'000;
+  /// Worker threads for the per-level frontier expansion and the hybrid's
+  /// depth-first continuation. 0 = the process default (CSRLMRM_THREADS or
+  /// hardware concurrency).
+  unsigned threads = 0;
+};
+
+/// Result of one until evaluation.
+struct UntilUniformizationResult {
+  /// The approximated probability P(s, Phi U_[0,r]^[0,t] Psi).
+  double probability = 0.0;
+  /// Error bound of eq. (4.6): total truncated-path mass that could still
+  /// have satisfied the formula.
+  double error_bound = 0.0;
+  /// Number of stored path prefixes ending in a Psi-state.
+  std::size_t paths_stored = 0;
+  /// Number of branches cut by the truncation probability w (each
+  /// contributes its discarded mass to error_bound).
+  std::size_t paths_truncated = 0;
+  /// Number of distinct signatures among stored paths.
+  std::size_t signature_classes = 0;
+  /// Nodes expanded.
+  std::size_t nodes_expanded = 0;
+  /// Deepest path length (number of transitions) reached.
+  std::size_t max_depth = 0;
+};
+
 /// Layered signature-class DP engine for P2-class until formulas on one
 /// transformed MRM. Construct once per formula; query per starting state
 /// (or batch of starting states) and bound.
 ///
-/// Result-field semantics differ slightly from the DFS engine because the
-/// unit of work is a frontier class, not a path:
+/// Result-field semantics, the unit of work being a frontier class, not a
+/// path:
 ///   - probability / error_bound   per queried start (exact analogue);
 ///   - paths_stored                harvested (class, level) pairs;
 ///   - paths_truncated             per-slot pruning events;
@@ -90,9 +137,10 @@ namespace csrlmrm::numeric {
 /// are per-slot.
 class SignatureClassUntilEngine {
  public:
-  /// Same contract as UniformizationUntilEngine: `transformed` is
-  /// M[!Phi v Psi], `psi` marks Sat(Psi), `dead` the states satisfying
-  /// neither Phi nor Psi. Masks must match the state count.
+  /// `transformed` is M[!Phi v Psi] (taken by value: the engine keeps its
+  /// own copy so callers may discard theirs), `psi` marks Sat(Psi), `dead`
+  /// the states satisfying neither Phi nor Psi, from which the formula is
+  /// unsatisfiable. Masks must match the state count.
   SignatureClassUntilEngine(core::Mrm transformed, std::vector<bool> psi,
                             std::vector<bool> dead);
 
@@ -100,8 +148,8 @@ class SignatureClassUntilEngine {
   SignatureClassUntilEngine& operator=(const SignatureClassUntilEngine&) = delete;
 
   /// Evaluates Pr{ Y(t) <= r, X(t) |= Psi } from `start`; equivalent to a
-  /// one-element compute_batch. PathExplorerOptions::aggregate_signatures is
-  /// ignored — the DP merges by signature inherently.
+  /// one-element compute_batch. Requires t >= 0 finite and r >= 0 finite;
+  /// t = 0 short-circuits to the indicator of start |= Psi.
   UntilUniformizationResult compute(core::StateIndex start, double t, double r,
                                     const PathExplorerOptions& options = {}) const;
 
@@ -127,9 +175,9 @@ class SignatureClassUntilEngine {
 
  private:
   SignatureModel sig_;
-  /// sig_.adjacency with transitions into dead states dropped: the DFS cuts
-  /// at dead states exactly (no error contribution), the DP never generates
-  /// the class in the first place.
+  /// sig_.adjacency with transitions into dead states dropped: a path into a
+  /// dead state can never satisfy the formula (an exact cut, no error
+  /// contribution), so the DP never generates its class.
   std::vector<std::vector<SignatureTransition>> live_adjacency_;
 };
 

@@ -1,7 +1,7 @@
-// Shared preprocessing of the two uniformization Until engines (the DFS
-// path generator of path_explorer.hpp and the signature-class DP of
-// class_explorer.hpp): distinct-reward bookkeeping and the flattened
-// uniformized DTMC with per-transition impulse classes.
+// Shared preprocessing of the uniformization Until engine (the
+// signature-class DP of class_explorer.hpp) and its DFPG test oracle:
+// distinct-reward bookkeeping and the flattened uniformized DTMC with
+// per-transition impulse classes.
 //
 // Both engines classify uniformized paths by their reward signature (k, j) —
 // k counts Poisson-epoch residences per distinct-state-reward class, j counts
@@ -23,7 +23,7 @@ struct SignatureTransition {
   core::StateIndex target = 0;
   /// 1-step probability of the uniformized DTMC (including self loops).
   double probability = 0.0;
-  /// log(probability), carried separately so the DFS engine can accumulate
+  /// log(probability), carried separately so the DFPG oracle can accumulate
   /// path weights in the log domain without re-taking logs per node.
   double log_probability = 0.0;
   /// Index into distinct_impulse_rewards (self loops carry impulse 0).

@@ -2,7 +2,7 @@
 // feeding a process-wide StatsRegistry that serializes to JSON.
 //
 // Every numeric engine, solver, and checker operator reports what it did —
-// solver sweeps, Fox-Glynn truncation windows, DFS paths generated and cut,
+// solver sweeps, Fox-Glynn truncation windows, frontier classes and cuts,
 // SpMV rows touched, thread-pool tasks — so accuracy/cost trade-offs (the
 // truncation probability w, the discretization step d) can be read off a
 // run instead of guessed. `mrmcheck --stats` and the bench harnesses dump

@@ -246,16 +246,17 @@ class Lowerer {
       op.transform = transform_op(*shape, lhs, rhs);
     }
 
-    // Pass 4: compile-time engine resolution. Only legal when the operand
-    // sets are fully known here (unknown operand states trigger a second
-    // optimistic-mask run on a *different* transformed model at execution
-    // time, which a single pinned prediction cannot speak for — known sets
-    // have empty unknown masks, so the one prediction covers the one run).
+    // Pass 4: compile-time method annotation for --explain. Only legal when
+    // the operand sets are fully known here (unknown operand states trigger
+    // a second optimistic-mask run on a *different* transformed model at
+    // execution time, which a single prediction cannot speak for — known
+    // sets have empty unknown masks, so the one prediction covers the one
+    // run). The executor does not consume it: the checker re-applies the
+    // same rule at run time, behind its O(1) guards.
     const bool reward_class = op.until_class == UntilClass::kTimeReward ||
                               op.until_class == UntilClass::kPointTimeReward;
     if (plan_options_.engine_selection && reward_class &&
-        plan_.options.until_method == checker::UntilMethod::kUniformization &&
-        plan_.options.until_engine == checker::UntilEngine::kAuto && known_[lhs] &&
+        plan_.options.until_method == checker::UntilMethod::kUniformization && known_[lhs] &&
         known_[rhs]) {
       const auto absorb = transform_mask(*shape, *known_[lhs], *known_[rhs]);
       const std::shared_ptr<const core::Mrm> transformed =
@@ -265,7 +266,7 @@ class Lowerer {
       // The run-time rule itself, so plan and direct check cannot disagree.
       op.engine_known = true;
       op.engine_choice =
-          checker::choose_until_engine(*transformed, node.time_bound.upper(), plan_.options);
+          checker::choose_until_method(*transformed, node.time_bound.upper(), plan_.options);
       ++plan_.engines_pinned;
     }
     return intern(key, std::move(op), std::nullopt);

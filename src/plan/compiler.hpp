@@ -12,9 +12,9 @@
 //      kTransform ops, prewarmed into the plan's TransformCache when the
 //      operand sets are compile-time computable;
 //   4. engine selection — P2-class until ops with compile-time-known
-//      operands and --until-engine=auto get their engine resolved now by
-//      the run-time cost model (checker::choose_until_engine), so the
-//      executor can pin the choice and --explain can report it.
+//      operands and the uniformization method get the run-time cost model
+//      (checker::choose_until_method) evaluated now, so --explain can
+//      report the method and its inputs.
 //
 // Compilation runs no numeric solves; it is O(batch size + transforms).
 #pragma once

@@ -109,13 +109,13 @@ struct PlanOp {
   std::size_t uses = 0;
 
   // --- engine-selection pass annotations (kUntilSolve, P2 classes only) ---
-  /// True when the cost model resolved the engine at compile time (operand
-  /// sets were compile-time known and the options ask for kAuto). The
-  /// executor then pins the choice instead of re-deriving it per run —
-  /// sound because the prediction runs checker::choose_until_engine on the
-  /// identical transformed model.
+  /// True when the cost model resolved the method at compile time (operand
+  /// sets were compile-time known and the options ask for uniformization).
+  /// An --explain annotation only: the checker applies the same rule
+  /// (checker::choose_until_method) on the identical transformed model at
+  /// run time.
   bool engine_known = false;
-  /// The pinned choice, with the cost-model inputs the printer reports.
+  /// The predicted choice, with the cost-model inputs the printer reports.
   checker::AutoEngineChoice engine_choice;
 };
 

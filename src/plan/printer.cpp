@@ -27,10 +27,8 @@ void append_engine(std::string& line, const PlanOp& op) {
   line += " engine=";
   if (op.engine_choice.method == checker::UntilMethod::kDiscretization) {
     line += "discretization(adapted-step)";
-  } else if (op.engine_choice.engine == checker::UntilEngine::kClassDp) {
-    line += op.engine_choice.adaptive_hybrid ? "classdp+hybrid" : "classdp";
   } else {
-    line += "dfpg";
+    line += "classdp+hybrid";
   }
   append(line, " (live=", std::to_string(op.engine_choice.live_states),
          " levels=", std::to_string(op.engine_choice.poisson_levels), ")");

@@ -1,6 +1,6 @@
 // Property-based validation of the signature-class DP until engine
-// (class_explorer.hpp) against the DFS path generator it replaces
-// (path_explorer.hpp, Algorithm 4.7). Both engines compute a lower
+// (class_explorer.hpp) against the DFS path generator of the thesis
+// (Algorithm 4.7, the test oracle dfpg_oracle.hpp). Both engines compute a lower
 // approximation p with p <= p_exact <= p + error_bound, so on every model
 // they must agree within the sum of their reported bounds — checked here
 // over 50 seeded random impulse-reward MRMs rather than hand-picked
@@ -15,10 +15,9 @@
 #include "checker/options.hpp"
 #include "checker/until.hpp"
 #include "core/transform.hpp"
+#include "dfpg_oracle.hpp"
 #include "models/random_mrm.hpp"
 #include "numeric/class_explorer.hpp"
-#include "numeric/path_explorer.hpp"
-#include "obs/stats.hpp"
 
 namespace csrlmrm {
 namespace {
@@ -77,9 +76,9 @@ TEST_P(ClassExplorerCrossEngine, AgreesWithDfsWithinCombinedErrorBounds) {
   const double t = time_bound_of(seed);
   const double r = reward_bound_of(seed);
 
-  numeric::UniformizationUntilEngine dfs(setup.transformed, setup.psi, setup.dead);
+  oracle::DfpgUntilEngine dfs(setup.transformed, setup.psi, setup.dead);
   numeric::SignatureClassUntilEngine classdp(setup.transformed, setup.psi, setup.dead);
-  numeric::PathExplorerOptions options;
+  oracle::DfpgOptions options;
   options.truncation_probability = 1e-10;
 
   const auto batch = classdp.compute_batch(all_states(model), t, r, options);
@@ -228,19 +227,19 @@ TEST_P(ClassDpCheckerAgreement, CheckerLevelResultsMatchDfpgEngine) {
 
   const double t = time_bound_of(seed);
   const double r = reward_bound_of(seed);
-  checker::CheckerOptions classdp;
-  classdp.until_engine = checker::UntilEngine::kClassDp;
-  checker::CheckerOptions dfpg;
-  dfpg.until_engine = checker::UntilEngine::kDfpg;
-
+  const checker::CheckerOptions classdp;
   const auto lhs = checker::until_probabilities(model, phi, psi, logic::up_to(t),
                                                 logic::up_to(r), classdp);
-  const auto rhs = checker::until_probabilities(model, phi, psi, logic::up_to(t),
-                                                logic::up_to(r), dfpg);
-  ASSERT_EQ(lhs.size(), rhs.size());
-  for (std::size_t s = 0; s < lhs.size(); ++s) {
-    EXPECT_NEAR(lhs[s].probability, rhs[s].probability,
-                lhs[s].error_bound + rhs[s].error_bound + 1e-12)
+
+  // Direct oracle runs on the same transformed model, one DFS per start, at
+  // the checker's default w.
+  const UntilSetup setup = make_setup(model, seed);
+  const oracle::DfpgUntilEngine dfpg(setup.transformed, setup.psi, setup.dead);
+  ASSERT_EQ(lhs.size(), model.num_states());
+  for (core::StateIndex s = 0; s < lhs.size(); ++s) {
+    const auto rhs = dfpg.compute(s, t, r);
+    EXPECT_NEAR(lhs[s].probability, rhs.probability,
+                lhs[s].error_bound + rhs.error_bound + 1e-12)
         << "seed=" << seed << " state=" << s;
   }
 }
@@ -260,7 +259,6 @@ TEST(ClassDpCheckerFallback, TinyNodeBudgetDegradesGracefully) {
   if (!any_psi) psi[0] = true;
 
   checker::CheckerOptions options;
-  options.until_engine = checker::UntilEngine::kClassDp;
   options.uniformization.max_nodes = 3;
   std::vector<checker::UntilValue> values;
   ASSERT_NO_THROW(values = checker::until_probabilities(model, phi, psi, logic::up_to(1.5),
@@ -269,86 +267,6 @@ TEST(ClassDpCheckerFallback, TinyNodeBudgetDegradesGracefully) {
     EXPECT_GE(values[s].probability, -1e-12) << "state=" << s;
     EXPECT_LE(values[s].probability, 1.0 + 1e-12) << "state=" << s;
   }
-}
-
-TEST(ClassDpCheckerFallback, BudgetExhaustionHandsOffToDfpgBitwise) {
-  // Regression pin for the classdp -> dfpg hand-off: when the batched DP
-  // exhausts max_nodes mid-flight the checker degrades to the per-state DFPG
-  // fan-out, and — because every individual DFS fits the same budget — must
-  // return exactly the verdict a direct kDfpg run produces, while recording
-  // the hand-off in classdp.fallbacks (and nothing further down the chain).
-  obs::set_stats_enabled(true);
-  obs::StatsRegistry::global().reset();
-
-  // Seed and bounds picked for a wide calibration window: here the batched
-  // DP expands ~3x the frontier classes of the widest single DFS start.
-  const std::uint32_t seed = 1;
-  const core::Mrm model = make_model(seed);
-  const UntilSetup setup = make_setup(model, seed);
-  const double t = 3.0;
-  const double r = 8.0;
-
-  // Calibrate the budget window from the engines' own node counts: the
-  // non-trivial starts are exactly the states the checker batches (Psi
-  // starts score 1 up front, dead starts 0).
-  std::vector<core::StateIndex> starts;
-  for (core::StateIndex s = 0; s < model.num_states(); ++s) {
-    if (!setup.psi[s] && !setup.dead[s]) starts.push_back(s);
-  }
-  ASSERT_FALSE(starts.empty());
-  numeric::SignatureClassUntilEngine classdp_engine(setup.transformed, setup.psi, setup.dead);
-  numeric::UniformizationUntilEngine dfpg_engine(setup.transformed, setup.psi, setup.dead);
-  const numeric::PathExplorerOptions probe;  // the checker's default w
-  const auto probe_batch = classdp_engine.compute_batch(starts, t, r, probe);
-  std::size_t batch_nodes = 0;
-  for (const auto& slot : probe_batch) {
-    batch_nodes = std::max(batch_nodes, slot.nodes_expanded);
-  }
-  std::size_t dfs_max = 0;
-  for (const auto s : starts) {
-    dfs_max = std::max(dfs_max, dfpg_engine.compute(s, t, r, probe).nodes_expanded);
-  }
-  // The impulse-heavy random model defeats class merging, so the whole-batch
-  // DP does strictly more work than any one DFS start — the window where the
-  // hand-off both triggers and succeeds.
-  ASSERT_LT(dfs_max, batch_nodes) << "seed " << seed << " gives no budget window";
-
-  std::vector<bool> phi = model.labels().states_with("a");
-  std::vector<bool> psi = model.labels().states_with("b");
-  bool any_psi = false;
-  for (const auto value : psi) any_psi = any_psi || value;
-  if (!any_psi) psi[seed % model.num_states()] = true;
-  for (std::size_t s = 0; s < phi.size(); ++s) phi[s] = phi[s] || (s % 2 == 0);
-
-  checker::CheckerOptions starved;
-  starved.until_engine = checker::UntilEngine::kClassDp;
-  starved.uniformization.max_nodes = dfs_max;
-  const auto fell_back = checker::until_probabilities(model, phi, psi, logic::up_to(t),
-                                                      logic::up_to(r), starved);
-
-  checker::CheckerOptions direct;
-  direct.until_engine = checker::UntilEngine::kDfpg;
-  direct.uniformization.max_nodes = dfs_max;
-  const auto reference = checker::until_probabilities(model, phi, psi, logic::up_to(t),
-                                                      logic::up_to(r), direct);
-
-  const auto& registry = obs::StatsRegistry::global();
-  EXPECT_GE(registry.counter("classdp.fallbacks"), 1u);
-  // Every per-start DFS fit the budget, so the deeper degradation stages
-  // (widening, discretization) must have stayed untouched in both runs.
-  EXPECT_EQ(registry.counter("uniformization.widenings"), 0u);
-  EXPECT_EQ(registry.counter("uniformization.fallbacks"), 0u);
-
-  ASSERT_EQ(fell_back.size(), reference.size());
-  for (std::size_t s = 0; s < fell_back.size(); ++s) {
-    EXPECT_EQ(fell_back[s].probability, reference[s].probability) << "state " << s;  // bitwise
-    EXPECT_EQ(fell_back[s].error_bound, reference[s].error_bound) << "state " << s;
-    EXPECT_EQ(fell_back[s].bound.lower, reference[s].bound.lower) << "state " << s;
-    EXPECT_EQ(fell_back[s].bound.upper, reference[s].bound.upper) << "state " << s;
-  }
-
-  obs::StatsRegistry::global().reset();
-  obs::set_stats_enabled(false);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,7 +38,6 @@ TEST(DaemonProtocol, CheckRequestRoundTrips) {
   request.options.w = 1e-6;
   request.options.max_nodes = 1000;
   request.options.deadline_ms = 250.0;
-  request.options.until_engine = "classdp";
   request.options.fallback = "widen-w";
 
   const daemon::CheckRequest back =
@@ -47,7 +47,6 @@ TEST(DaemonProtocol, CheckRequestRoundTrips) {
   ASSERT_TRUE(back.options.w.has_value());
   EXPECT_TRUE(core::exactly_equal(*back.options.w, 1e-6));
   EXPECT_EQ(back.options.max_nodes, request.options.max_nodes);
-  EXPECT_EQ(back.options.until_engine, request.options.until_engine);
   EXPECT_EQ(back.options.fallback, request.options.fallback);
 }
 
@@ -99,14 +98,57 @@ TEST(DaemonProtocol, BatchErrorIsOmittedWhenEmpty) {
 TEST(DaemonProtocol, ApplyOverridesRejectsBadNames) {
   checker::CheckerOptions base;
   daemon::CheckOverrides overrides;
-  overrides.until_engine = "warp-drive";
-  EXPECT_THROW(daemon::apply_overrides(base, overrides), std::invalid_argument);
-  overrides.until_engine.reset();
   overrides.fallback = "ignore";
   EXPECT_THROW(daemon::apply_overrides(base, overrides), std::invalid_argument);
   overrides.fallback.reset();
   overrides.w = -1.0;
   EXPECT_THROW(daemon::apply_overrides(base, overrides), std::invalid_argument);
+}
+
+/// A check request whose options object is `options_json`.
+obs::JsonValue request_with_options(const std::string& options_json) {
+  return obs::parse_json(R"({"op":"check","model":"tmr","formulas":["TT"],"options":)" +
+                         options_json + "}");
+}
+
+/// The std::invalid_argument message check_request_from_json raises, or ""
+/// when it accepts the request.
+std::string rejection_of(const std::string& options_json) {
+  try {
+    daemon::check_request_from_json(request_with_options(options_json));
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(DaemonProtocol, MaxNodesMustBeAnExactPositiveInteger) {
+  EXPECT_EQ(daemon::check_request_from_json(request_with_options(R"({"max_nodes":1000})"))
+                .options.max_nodes,
+            1000u);
+  // 2^53 is the largest integer a JSON double carries exactly.
+  EXPECT_EQ(daemon::check_request_from_json(
+                request_with_options(R"({"max_nodes":9007199254740992})"))
+                .options.max_nodes,
+            9007199254740992u);
+  // A fraction is rejected, not truncated to 2.
+  EXPECT_NE(rejection_of(R"({"max_nodes":2.5})").find("integer"), std::string::npos);
+  // Above 2^53 (and far past 2^64, where a cast to size_t is undefined).
+  EXPECT_NE(rejection_of(R"({"max_nodes":9007199254740994})").find("2^53"), std::string::npos);
+  EXPECT_NE(rejection_of(R"({"max_nodes":1e20})").find("2^53"), std::string::npos);
+  EXPECT_NE(rejection_of(R"({"max_nodes":0})").find("positive"), std::string::npos);
+  EXPECT_NE(rejection_of(R"({"max_nodes":-3})").find("positive"), std::string::npos);
+}
+
+TEST(DaemonProtocol, UnknownOptionKeysAreRejected) {
+  // The retired engine switch is an unknown key like any other: a client
+  // still sending it gets an error, not a silently ignored option.
+  EXPECT_NE(rejection_of(R"({"until_engine":"dfpg"})")
+                .find("unknown check option 'until_engine'"),
+            std::string::npos);
+  EXPECT_NE(rejection_of(R"({"w":1e-6,"wdith":1})").find("'wdith'"), std::string::npos);
+  EXPECT_EQ(rejection_of(R"({"w":1e-6,"max_nodes":5,"deadline_ms":10,"fallback":"throw"})"),
+            "");
 }
 
 TEST(DaemonProtocol, BatchKeySeparatesNumericOptionsOnly) {

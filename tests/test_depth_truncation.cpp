@@ -1,12 +1,14 @@
 // Depth truncation (eq. 4.3): the alternative truncation mode of section
-// 4.4.2, layered onto the DFPG explorer.
+// 4.4.2, layered onto the DFPG oracle.
 #include <gtest/gtest.h>
 
-#include "core/transform.hpp"
-#include "models/wavelan.hpp"
-#include "numeric/path_explorer.hpp"
+#include <optional>
 
-namespace csrlmrm::numeric {
+#include "core/transform.hpp"
+#include "dfpg_oracle.hpp"
+#include "models/wavelan.hpp"
+
+namespace csrlmrm::oracle {
 namespace {
 
 /// The Example 3.6 workload: M[!idle v busy], target busy, start idle.
@@ -26,12 +28,12 @@ struct Workload {
   core::Mrm model;
   std::vector<bool> psi;
   std::vector<bool> dead;
-  std::optional<UniformizationUntilEngine> engine;
+  std::optional<DfpgUntilEngine> engine;
 };
 
 TEST(DepthTruncation, CapsTheExploredDepth) {
   Workload workload;
-  PathExplorerOptions options;
+  DfpgOptions options;
   options.truncation_probability = 1e-18;
   options.depth_truncation = 10;
   const auto result = workload.engine->compute(models::kWavelanIdle, 1.0, 2000.0, options);
@@ -40,11 +42,11 @@ TEST(DepthTruncation, CapsTheExploredDepth) {
 
 TEST(DepthTruncation, ErrorBoundCoversTheDiscardedMass) {
   Workload workload;
-  PathExplorerOptions fine;
+  DfpgOptions fine;
   fine.truncation_probability = 1e-18;
   const auto reference = workload.engine->compute(models::kWavelanIdle, 1.0, 2000.0, fine);
 
-  PathExplorerOptions shallow = fine;
+  DfpgOptions shallow = fine;
   shallow.depth_truncation = 6;
   const auto truncated = workload.engine->compute(models::kWavelanIdle, 1.0, 2000.0, shallow);
   EXPECT_LE(truncated.probability, reference.probability + 1e-12);
@@ -54,10 +56,10 @@ TEST(DepthTruncation, ErrorBoundCoversTheDiscardedMass) {
 
 TEST(DepthTruncation, DeepEnoughBoundIsHarmless) {
   Workload workload;
-  PathExplorerOptions fine;
+  DfpgOptions fine;
   fine.truncation_probability = 1e-15;
   const auto reference = workload.engine->compute(models::kWavelanIdle, 1.0, 2000.0, fine);
-  PathExplorerOptions capped = fine;
+  DfpgOptions capped = fine;
   capped.depth_truncation = 4096;  // far beyond any surviving path
   const auto result = workload.engine->compute(models::kWavelanIdle, 1.0, 2000.0, capped);
   EXPECT_DOUBLE_EQ(result.probability, reference.probability);
@@ -66,7 +68,7 @@ TEST(DepthTruncation, DeepEnoughBoundIsHarmless) {
 
 TEST(DepthTruncation, ErrorShrinksMonotonicallyWithDepth) {
   Workload workload;
-  PathExplorerOptions options;
+  DfpgOptions options;
   options.truncation_probability = 1e-18;
   double previous_error = 2.0;
   double previous_probability = -1.0;
@@ -82,10 +84,10 @@ TEST(DepthTruncation, ErrorShrinksMonotonicallyWithDepth) {
 
 TEST(DepthTruncation, DepthZeroDisablesTheBound) {
   Workload workload;
-  PathExplorerOptions with;
+  DfpgOptions with;
   with.truncation_probability = 1e-15;
   with.depth_truncation = 0;
-  PathExplorerOptions without;
+  DfpgOptions without;
   without.truncation_probability = 1e-15;
   const auto a = workload.engine->compute(models::kWavelanIdle, 1.0, 2000.0, with);
   const auto b = workload.engine->compute(models::kWavelanIdle, 1.0, 2000.0, without);
@@ -94,4 +96,4 @@ TEST(DepthTruncation, DepthZeroDisablesTheBound) {
 }
 
 }  // namespace
-}  // namespace csrlmrm::numeric
+}  // namespace csrlmrm::oracle

@@ -1,6 +1,6 @@
 // Graceful degradation of the P2 uniformization engine and engine-agnostic
-// three-valued verdicts: exhausting the DFS node budget must not abort the
-// whole check when a fallback policy is configured, the returned interval
+// three-valued verdicts: exhausting the class-DP node budget must not abort
+// the whole check when a fallback policy is configured, the returned interval
 // must still contain the truth, and a threshold inside the error band must
 // yield UNKNOWN (not an engine-dependent SAT/UNSAT flip).
 #include <gtest/gtest.h>
@@ -10,8 +10,9 @@
 
 #include "checker/sat.hpp"
 #include "checker/until.hpp"
+#include "core/transform.hpp"
 #include "logic/ast.hpp"
-#include "numeric/path_explorer.hpp"
+#include "numeric/class_explorer.hpp"
 #include "obs/stats.hpp"
 
 namespace csrlmrm::checker {
@@ -32,16 +33,31 @@ core::Mrm make_cycle() {
   return core::Mrm(core::Ctmc(rates.build(), std::move(labels)), {1.0, 2.0, 1.0});
 }
 
+/// The same cycle with an integral impulse reward on 0 -> 1. The impulse
+/// keeps the up-front discretization rule out of play (it only fires on
+/// impulse-free models), so a starved budget is hit mid-flight by the class
+/// DP; being integral, the impulse stays on every adapted step's level grid,
+/// so the discretization fallback remains feasible.
+core::Mrm make_impulse_cycle() {
+  core::RateMatrixBuilder rates(3);
+  rates.add(0, 1, 1.0);
+  rates.add(1, 2, 1.0);
+  rates.add(2, 0, 1.0);
+  core::ImpulseRewardsBuilder impulses(3);
+  impulses.add(0, 1, 1.0);
+  core::Labeling labels(3);
+  labels.add(0, "a");
+  labels.add(1, "a");
+  labels.add(2, "b");
+  return core::Mrm(core::Ctmc(rates.build(), std::move(labels)), {1.0, 2.0, 1.0},
+                   impulses.build());
+}
+
 const std::vector<bool> kPhi{true, true, false};
 const std::vector<bool> kPsi{false, false, true};
 
 CheckerOptions starved(BudgetPolicy policy) {
   CheckerOptions options;
-  // Pin the engine: these tests exercise the mid-flight degradation chain,
-  // which requires a uniformization engine to actually hit its budget. The
-  // default auto cost model would see the starved budget up front and pick
-  // discretization directly (covered by the AutoEngine tests below).
-  options.until_engine = UntilEngine::kClassDp;
   options.uniformization.truncation_probability = 1e-12;
   options.uniformization.max_nodes = 5;  // guaranteed exhaustion
   options.on_budget_exhausted = policy;
@@ -68,7 +84,7 @@ TEST_F(EngineFallback, ThrowPolicyRaisesTypedBudgetError) {
 }
 
 TEST_F(EngineFallback, FallbackPolicyDegradesToDiscretizationWithoutThrowing) {
-  const core::Mrm model = make_cycle();
+  const core::Mrm model = make_impulse_cycle();
 
   // Reference 1: the accurate uniformization value (ample budget).
   CheckerOptions accurate;
@@ -103,9 +119,8 @@ TEST_F(EngineFallback, FallbackPolicyDegradesToDiscretizationWithoutThrowing) {
 
 TEST_F(EngineFallback, EveryDegradedStartSharesOneDiscretizationSweep) {
   // Both a-states exhaust the budget; one adapted-step sweep answers them
-  // together after the DFPG fan-out, while the fallback counter still
-  // counts each degraded start.
-  const core::Mrm model = make_cycle();
+  // together, while the fallback counter still counts each degraded start.
+  const core::Mrm model = make_impulse_cycle();
   const auto degraded =
       until_probabilities(model, kPhi, kPsi, logic::up_to(1.0), logic::up_to(10.0),
                           starved(BudgetPolicy::kFallbackToDiscretization));
@@ -115,6 +130,54 @@ TEST_F(EngineFallback, EveryDegradedStartSharesOneDiscretizationSweep) {
   EXPECT_EQ(degraded[2].probability, 1.0);  // absorbed Psi start, never degraded
   for (core::StateIndex s = 0; s < 2; ++s) {
     EXPECT_GT(degraded[s].bound.width(), 0.0) << "state " << s;
+  }
+}
+
+TEST_F(EngineFallback, ExhaustedBatchDegradesInOneSweep) {
+  // The budget chain is batch-level: one class-DP run over every
+  // non-trivial start, and when it exhausts the budget, one discretization
+  // sweep answering all of them — no per-start retries.
+  const core::Mrm model = make_impulse_cycle();
+  until_probabilities(model, kPhi, kPsi, logic::up_to(1.0), logic::up_to(10.0),
+                      starved(BudgetPolicy::kFallbackToDiscretization));
+  const auto& registry = obs::StatsRegistry::global();
+  EXPECT_EQ(registry.counter("engine.auto_choice.classdp"), 1u);
+  EXPECT_EQ(registry.counter("classdp.calls"), 1u);
+  EXPECT_EQ(registry.counter("discretization.calls"), 1u);
+  EXPECT_EQ(registry.counter("uniformization.widenings"), 0u);
+  // States 0 and 1 are non-trivial; state 2 is the absorbed Psi start.
+  EXPECT_EQ(registry.counter("uniformization.fallbacks"), 2u);
+}
+
+TEST_F(EngineFallback, ExhaustedBatchWidensWBeforeDegrading) {
+  // The widen-w twin: with a budget that fits the widest w (1e-2) but not
+  // the configured one, the same batch re-runs at a coarser w and never
+  // reaches the discretization stage.
+  const core::Mrm model = make_impulse_cycle();
+  const std::vector<bool> absorb{false, false, true};  // !Phi v Psi
+  const std::vector<bool> dead(3, false);
+  const numeric::SignatureClassUntilEngine engine(core::make_absorbing(model, absorb), kPsi,
+                                                  dead);
+  numeric::PathExplorerOptions probe;
+  probe.truncation_probability = 1e-2;
+  const std::size_t widest = engine.compute_batch({0, 1}, 1.0, 10.0, probe)[0].nodes_expanded;
+  probe.truncation_probability = 1e-12;
+  const std::size_t configured =
+      engine.compute_batch({0, 1}, 1.0, 10.0, probe)[0].nodes_expanded;
+  ASSERT_LT(widest, configured);
+  obs::StatsRegistry::global().reset();
+
+  CheckerOptions options = starved(BudgetPolicy::kWidenW);
+  options.uniformization.max_nodes = widest;
+  const auto widened =
+      until_probabilities(model, kPhi, kPsi, logic::up_to(1.0), logic::up_to(10.0), options);
+  const auto& registry = obs::StatsRegistry::global();
+  EXPECT_GT(registry.counter("classdp.calls"), 1u);
+  EXPECT_GE(registry.counter("uniformization.widenings"), 1u);
+  EXPECT_EQ(registry.counter("uniformization.fallbacks"), 0u);
+  EXPECT_EQ(registry.counter("discretization.calls"), 0u);
+  for (core::StateIndex s = 0; s < 2; ++s) {
+    EXPECT_GT(widened[s].bound.width(), 0.0) << "state " << s;  // the coarser w shows
   }
 }
 
@@ -147,7 +210,7 @@ TEST_F(EngineFallback, InfeasibleFallbackReRaisesTheBudgetErrorWithBothDiagnoses
 }
 
 TEST_F(EngineFallback, WidenWPolicyDoesNotThrowAndKeepsTheTruthEnclosed) {
-  const core::Mrm model = make_cycle();
+  const core::Mrm model = make_impulse_cycle();
   CheckerOptions accurate;
   accurate.uniformization.truncation_probability = 1e-12;
   const auto exact =
@@ -167,13 +230,12 @@ TEST_F(EngineFallback, WidenWPolicyDoesNotThrowAndKeepsTheTruthEnclosed) {
 }
 
 TEST_F(EngineFallback, AutoStarvedRunDiscretizesUpFrontWithoutThrowing) {
-  // The default auto cost model sees live * levels > max_nodes before
-  // exploring anything and goes straight to discretization (no impulse
-  // rewards, degradation allowed) — no NodeBudgetError is ever raised and
-  // the choice is recorded.
+  // The up-front cost model sees live * levels > max_nodes before exploring
+  // anything and goes straight to discretization (no impulse rewards,
+  // degradation allowed) — no NodeBudgetError is ever raised and the choice
+  // is recorded.
   const core::Mrm model = make_cycle();
-  CheckerOptions options = starved(BudgetPolicy::kFallbackToDiscretization);
-  options.until_engine = UntilEngine::kAuto;
+  const CheckerOptions options = starved(BudgetPolicy::kFallbackToDiscretization);
   const auto values =
       until_probabilities(model, kPhi, kPsi, logic::up_to(1.0), logic::up_to(10.0), options);
   EXPECT_GE(obs::StatsRegistry::global().counter("engine.auto_choice.discretization"), 1u);
@@ -189,46 +251,41 @@ TEST_F(EngineFallback, AutoStarvedRunDiscretizesUpFrontWithoutThrowing) {
 }
 
 TEST_F(EngineFallback, AutoUnderThrowPolicyFailsLoudlyInsteadOfDegrading) {
-  // kThrow disables every degradation, including auto's up-front method
+  // kThrow disables every degradation, including the up-front method
   // switch: the starved run must still raise the typed budget error.
   const core::Mrm model = make_cycle();
-  CheckerOptions options = starved(BudgetPolicy::kThrow);
-  options.until_engine = UntilEngine::kAuto;
+  const CheckerOptions options = starved(BudgetPolicy::kThrow);
   EXPECT_THROW(
       until_probabilities(model, kPhi, kPsi, logic::up_to(1.0), logic::up_to(10.0), options),
       numeric::NodeBudgetError);
 }
 
 TEST(AutoEngineChooser, AmpleBudgetPicksClassDpWithTheHybridArmed) {
+  // Uniformization always runs the class DP with its hybrid armed, so the
+  // method is the whole choice.
   const core::Mrm model = make_cycle();
   const CheckerOptions options;  // defaults: generous budget
-  const AutoEngineChoice choice = choose_until_engine(model, 1.0, options);
+  const AutoEngineChoice choice = choose_until_method(model, 1.0, options);
   EXPECT_EQ(choice.method, UntilMethod::kUniformization);
-  EXPECT_EQ(choice.engine, UntilEngine::kClassDp);
-  EXPECT_TRUE(choice.adaptive_hybrid);
-}
-
-TEST(AutoEngineChooser, PerPathAblationKnobRoutesToTheDfsEngine) {
-  const core::Mrm model = make_cycle();
-  CheckerOptions options;
-  options.uniformization.aggregate_signatures = false;
-  const AutoEngineChoice choice = choose_until_engine(model, 1.0, options);
-  EXPECT_EQ(choice.method, UntilMethod::kUniformization);
-  EXPECT_EQ(choice.engine, UntilEngine::kDfpg);
-  EXPECT_FALSE(choice.adaptive_hybrid);
+  EXPECT_EQ(choice.live_states, 3u);
+  EXPECT_GT(choice.poisson_levels, 0u);
 }
 
 TEST(AutoEngineChooser, ProvablyOverBudgetPicksDiscretizationUnlessThrowing) {
   const core::Mrm model = make_cycle();
   CheckerOptions options;
   options.uniformization.max_nodes = 5;
-  const AutoEngineChoice degrading = choose_until_engine(model, 1.0, options);
+  const AutoEngineChoice degrading = choose_until_method(model, 1.0, options);
   EXPECT_EQ(degrading.method, UntilMethod::kDiscretization);
 
   options.on_budget_exhausted = BudgetPolicy::kThrow;
-  const AutoEngineChoice throwing = choose_until_engine(model, 1.0, options);
+  const AutoEngineChoice throwing = choose_until_method(model, 1.0, options);
   EXPECT_EQ(throwing.method, UntilMethod::kUniformization);
-  EXPECT_EQ(throwing.engine, UntilEngine::kClassDp);
+
+  // Impulse rewards rule the up-front switch out as well.
+  options.on_budget_exhausted = BudgetPolicy::kFallbackToDiscretization;
+  EXPECT_EQ(choose_until_method(make_impulse_cycle(), 1.0, options).method,
+            UntilMethod::kUniformization);
 }
 
 TEST(EngineBoundaries, ZeroTimeHorizonIsTheIndicatorOfPsiOnBothEngines) {

@@ -186,23 +186,40 @@ class MrmcheckCli : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(directory_); }
 
-  /// Runs mrmcheck with the given arguments (output silenced) and returns
-  /// its exit status, or -1 when the child did not exit normally.
-  int run(const std::string& arguments) const {
-    const std::string command = std::string("'") + MRMCHECK_BINARY + "' " + arguments +
-                                " >/dev/null 2>/dev/null";
+  /// Runs `binary` with the given arguments (stdout silenced, stderr into
+  /// `stderr_text` when given) and returns its exit status, or -1 when the
+  /// child did not exit normally.
+  int run_binary(const char* binary, const std::string& arguments,
+                 std::string* stderr_text = nullptr) const {
+    const std::filesystem::path err = directory_ / "stderr.txt";
+    const std::string command = std::string("'") + binary + "' " + arguments +
+                                " >/dev/null 2>'" + err.string() + "'";
     const int status = std::system(command.c_str());
+    if (stderr_text != nullptr) {
+      std::ifstream in(err);
+      std::ostringstream buffer;
+      buffer << in.rdbuf();
+      *stderr_text = buffer.str();
+    }
     if (status == -1 || !WIFEXITED(status)) return -1;
     return WEXITSTATUS(status);
   }
 
+  /// Runs mrmcheck with the given arguments (output silenced) and returns
+  /// its exit status, or -1 when the child did not exit normally.
+  int run(const std::string& arguments, std::string* stderr_text = nullptr) const {
+    return run_binary(MRMCHECK_BINARY, arguments, stderr_text);
+  }
+
   /// Writes a three-state cycle (a -> a -> b -> a, unit rates, integer state
-  /// rewards, no impulses) into the temp directory and returns its
-  /// quoted .tra/.lab/.rewr argument string. Integer rewards keep the
-  /// discretization fallback feasible; state 1's P2 value for
-  /// "a U[0,1][0,10] b" is 1 - 2/e ~ 0.2584, so thresholds near 0.26 sit
-  /// inside any coarse engine's error band.
-  std::string write_cycle_model() const {
+  /// rewards, no impulses unless `with_impulse`) into the temp directory and
+  /// returns its quoted .tra/.lab/.rewr[/.rewi] argument string. Integer
+  /// rewards keep the discretization fallback feasible; state 1's P2 value
+  /// for "a U[0,1][0,10] b" is 1 - 2/e ~ 0.2584, so thresholds near 0.26 sit
+  /// inside any coarse engine's error band. `with_impulse` adds an integral
+  /// impulse of 1 on 1 -> 2, which keeps the up-front discretization rule
+  /// (impulse-free models only) out of play.
+  std::string write_cycle_model(bool with_impulse = false) const {
     const auto write = [&](const char* name, const char* text) {
       std::ofstream out(directory_ / name);
       out << text;
@@ -211,7 +228,12 @@ class MrmcheckCli : public ::testing::Test {
     write("cycle.lab", "#DECLARATION\na b\n#END\n1 a\n2 a\n3 b\n");
     write("cycle.rewr", "1 1.0\n2 2.0\n3 1.0\n");
     const std::string base = (directory_ / "cycle").string();
-    return "'" + base + ".tra' '" + base + ".lab' '" + base + ".rewr'";
+    std::string args = "'" + base + ".tra' '" + base + ".lab' '" + base + ".rewr'";
+    if (with_impulse) {
+      write("cycle.rewi", "TRANSITIONS 1\n1 2 1.0\n");
+      args += " '" + base + ".rewi'";
+    }
+    return args;
   }
 
   std::filesystem::path directory_;
@@ -270,7 +292,35 @@ TEST_F(MrmcheckCli, RejectsMalformedFallbackPolicyAndNodeBudget) {
   EXPECT_EQ(run(model_args_ + " --fallback=bogus 'TT'"), 2);
   EXPECT_EQ(run(model_args_ + " --max-nodes=0 'TT'"), 2);
   EXPECT_EQ(run(model_args_ + " --max-nodes=abc 'TT'"), 2);
+  EXPECT_EQ(run(model_args_ + " --max-nodes=12abc 'TT'"), 2);
+  EXPECT_EQ(run(model_args_ + " --max-nodes=-5 'TT'"), 2);
 }
+
+TEST_F(MrmcheckCli, RetiredUntilEngineFlagIsAnUnknownOption) {
+  std::string error;
+  EXPECT_EQ(run(model_args_ + " --until-engine=dfpg 'TT'", &error), 2);
+  EXPECT_NE(error.find("unknown option"), std::string::npos) << error;
+}
+
+#if defined(MRMCHECKC_BINARY)
+// The daemon client validates its own arguments before connecting: these
+// runs name a socket that does not exist, so reaching the connect would
+// exit 1, not 2.
+TEST_F(MrmcheckCli, ClientRejectsUnknownOptionsBeforeConnecting) {
+  const std::string socket = "--socket='" + (directory_ / "absent.sock").string() + "'";
+  std::string error;
+  EXPECT_EQ(run_binary(MRMCHECKC_BINARY,
+                       socket + " check m --bogus 'P(>0.1)[Sup U[0,100][0,3000] failed]'",
+                       &error),
+            2);
+  EXPECT_NE(error.find("unknown option '--bogus'"), std::string::npos) << error;
+  EXPECT_EQ(run_binary(MRMCHECKC_BINARY, socket + " check m --until-engine=dfpg 'TT'"), 2);
+  EXPECT_EQ(run_binary(MRMCHECKC_BINARY, socket + " check m --max-nodes=12abc 'TT'"), 2);
+  EXPECT_EQ(run_binary(MRMCHECKC_BINARY, socket + " check m --max-nodes=-5 'TT'"), 2);
+  // A well-formed request does try to connect, and fails on the socket.
+  EXPECT_EQ(run_binary(MRMCHECKC_BINARY, socket + " check m --max-nodes=5 'TT'"), 1);
+}
+#endif
 
 TEST_F(MrmcheckCli, StrictExitsThreeWhenTheIntervalStraddlesTheThreshold) {
   const std::string cycle = write_cycle_model();
@@ -278,7 +328,7 @@ TEST_F(MrmcheckCli, StrictExitsThreeWhenTheIntervalStraddlesTheThreshold) {
   // Coarse discretization: the O(d) band around ~0.2584 contains 0.26.
   EXPECT_EQ(run(cycle + " d=0.125 --strict" + query), 3);
   // Same verdict from the other engine: coarse truncation widens the
-  // one-sided DFPG interval across the threshold. UNKNOWN must never
+  // one-sided uniformization interval across the threshold. UNKNOWN must never
   // degenerate into an engine-dependent SAT/UNSAT flip.
   EXPECT_EQ(run(cycle + " u=0.2 --strict" + query), 3);
   // Without --strict the run warns but succeeds.
@@ -290,11 +340,12 @@ TEST_F(MrmcheckCli, StrictExitsThreeWhenTheIntervalStraddlesTheThreshold) {
 TEST_F(MrmcheckCli, NodeBudgetExhaustionFallsBackInsteadOfFailing) {
   const std::string cycle = write_cycle_model();
   const std::string stats_file = (directory_ / "fallback_stats.json").string();
-  // Budget of 5 nodes cannot explore the cycle: with the engine pinned (the
-  // default auto cost model would sidestep the exhaustion up front, see
-  // below) the checker must fall back to discretization per start state,
-  // still exit 0, and record the degradation in the stats JSON.
-  ASSERT_EQ(run(cycle + " u=1e-12 --max-nodes=5 --until-engine=classdp --stats='" +
+  // Budget of 5 nodes cannot explore the cycle. With an impulse reward the
+  // up-front rule cannot sidestep the exhaustion (see below for the
+  // impulse-free model), so the class DP hits the budget mid-flight: the
+  // checker must fall back to discretization, still exit 0, and record the
+  // degradation in the stats JSON.
+  ASSERT_EQ(run(write_cycle_model(/*with_impulse=*/true) + " u=1e-12 --max-nodes=5 --stats='" +
                 stats_file + "' NP 'P(>=0.5)[a U[0,1][0,10] b]'"),
             0);
   std::ifstream in(stats_file);
@@ -307,8 +358,9 @@ TEST_F(MrmcheckCli, NodeBudgetExhaustionFallsBackInsteadOfFailing) {
   const obs::JsonValue* fallbacks = counters->find("uniformization.fallbacks");
   ASSERT_NE(fallbacks, nullptr);
   EXPECT_GE(fallbacks->as_number(), 1.0);
-  // The default auto engine sees the starved budget before exploring
-  // anything, goes straight to discretization, and records that choice.
+  // On the impulse-free cycle the cost model sees the starved budget before
+  // exploring anything, goes straight to discretization, and records that
+  // choice.
   const std::string auto_stats_file = (directory_ / "auto_stats.json").string();
   ASSERT_EQ(run(cycle + " u=1e-12 --max-nodes=5 --stats='" + auto_stats_file +
                 "' NP 'P(>=0.5)[a U[0,1][0,10] b]'"),
@@ -323,8 +375,8 @@ TEST_F(MrmcheckCli, NodeBudgetExhaustionFallsBackInsteadOfFailing) {
   const obs::JsonValue* chose = auto_counters->find("engine.auto_choice.discretization");
   ASSERT_NE(chose, nullptr);
   EXPECT_GE(chose->as_number(), 1.0);
-  // With the throw policy the same starved run fails loudly instead — auto
-  // never degrades behind a kThrow user's back.
+  // With the throw policy the same starved run fails loudly instead — the
+  // checker never degrades behind a kThrow user's back.
   EXPECT_EQ(run(cycle + " u=1e-12 --max-nodes=5 --fallback=throw NP "
                         "'P(>=0.5)[a U[0,1][0,10] b]'"),
             1);

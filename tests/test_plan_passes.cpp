@@ -163,9 +163,10 @@ TEST_F(PlanPasses, HoistedTransformSharesOmegaEvaluatorsAcrossSolves) {
 // Engine-selection pass (cost model)
 // ---------------------------------------------------------------------------
 
-// The compile-time pin must be the decision the runtime auto path records:
-// on the TMR bench model the auto cost model picks class-DP with the hybrid
-// armed, and a direct check bumps exactly that counter.
+// The compile-time annotation must be the decision the runtime path
+// records: on the TMR bench model the cost model keeps uniformization (the
+// class DP with its hybrid armed), and a direct check bumps exactly that
+// counter.
 TEST_F(PlanPasses, CostModelPinMatchesRuntimeAutoChoiceOnTmr) {
   const core::Mrm model = models::make_tmr();
   const auto batch = parse_batch({"P(>0.1)[Sup U[0,100][0,3000] failed]"});
@@ -179,8 +180,6 @@ TEST_F(PlanPasses, CostModelPinMatchesRuntimeAutoChoiceOnTmr) {
   ASSERT_NE(until, nullptr);
   ASSERT_TRUE(until->engine_known);
   EXPECT_EQ(until->engine_choice.method, checker::UntilMethod::kUniformization);
-  EXPECT_EQ(until->engine_choice.engine, checker::UntilEngine::kClassDp);
-  EXPECT_TRUE(until->engine_choice.adaptive_hybrid);
 
   obs::StatsRegistry::global().reset();
   checker::ModelChecker direct(model, options);
@@ -204,7 +203,7 @@ TEST_F(PlanPasses, CostModelPinMatchesRuntimeAutoChoiceOnNmr) {
   }
   ASSERT_NE(until, nullptr);
   ASSERT_TRUE(until->engine_known);
-  EXPECT_EQ(until->engine_choice.engine, checker::UntilEngine::kClassDp);
+  EXPECT_EQ(until->engine_choice.method, checker::UntilMethod::kUniformization);
   EXPECT_GT(until->engine_choice.live_states, 0u);
   EXPECT_GT(until->engine_choice.poisson_levels, 0u);
 
@@ -215,7 +214,8 @@ TEST_F(PlanPasses, CostModelPinMatchesRuntimeAutoChoiceOnNmr) {
 }
 
 // An impulse-free model with a starved node budget under a degrading policy:
-// auto provably skips to discretization, and the prediction must agree.
+// the cost model provably skips to discretization, and the prediction must
+// agree.
 TEST_F(PlanPasses, CostModelPredictsDiscretizationWhenOverBudget) {
   models::RandomMrmConfig config;
   config.num_states = 6;
@@ -224,12 +224,12 @@ TEST_F(PlanPasses, CostModelPredictsDiscretizationWhenOverBudget) {
   checker::CheckerOptions options;
   options.uniformization.max_nodes = 1;  // guaranteed over budget
   options.on_budget_exhausted = checker::BudgetPolicy::kFallbackToDiscretization;
-  const checker::AutoEngineChoice choice = checker::choose_until_engine(model, 10.0, options);
+  const checker::AutoEngineChoice choice = checker::choose_until_method(model, 10.0, options);
   EXPECT_EQ(choice.method, checker::UntilMethod::kDiscretization);
   // The over-budget decision reports the inputs that proved it.
   EXPECT_GT(choice.live_states * choice.poisson_levels, options.uniformization.max_nodes);
 
-  // The plan compiler pins exactly that decision. With Phi = tt and
+  // The plan compiler annotates exactly that decision. With Phi = tt and
   // Psi = ff nothing is made absorbing, so the transformed model is `model`.
   const auto batch = parse_batch({"P(>0.1)[tt U[0,10][0,3] ff]"});
   const plan::Plan compiled = plan::compile(model, batch, options);
@@ -244,15 +244,18 @@ TEST_F(PlanPasses, CostModelPredictsDiscretizationWhenOverBudget) {
   EXPECT_EQ(until->engine_choice.poisson_levels, choice.poisson_levels);
 }
 
-// The per-path ablation (aggregate_signatures off) only DFPG implements.
-TEST_F(PlanPasses, CostModelFollowsSignatureAblationToDfpg) {
+// Executing a plan applies the method rule at run time, exactly like a
+// direct check, so the choice is counted on the plan path too.
+TEST_F(PlanPasses, PlanExecutionCountsTheAutoChoice) {
   const core::Mrm model = models::make_tmr();
+  const auto batch = parse_batch({"P(>0.1)[Sup U[0,100][0,3000] failed]"});
   checker::CheckerOptions options;
-  options.uniformization.aggregate_signatures = false;
-  const checker::AutoEngineChoice choice = checker::choose_until_engine(model, 100.0, options);
-  EXPECT_EQ(choice.method, checker::UntilMethod::kUniformization);
-  EXPECT_EQ(choice.engine, checker::UntilEngine::kDfpg);
-  EXPECT_FALSE(choice.adaptive_hybrid);
+  const plan::Plan compiled = plan::compile(model, batch, options);
+  obs::StatsRegistry::global().reset();
+  plan::execute(compiled, model);
+  const auto& registry = obs::StatsRegistry::global();
+  EXPECT_EQ(registry.counter("engine.auto_choice.classdp"), 1u);
+  EXPECT_EQ(registry.counter("engine.auto_choice.discretization"), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-// Property-based cross-validation: the two independent P2 engines
-// (uniformization/DFPG+Omega and discretization) and the P1 transient path
-// must agree on randomly generated MRMs. This is exactly the validation
+// Property-based cross-validation: the two independent P2 methods
+// (uniformization — here the DFPG+Omega oracle — and discretization) and the
+// P1 transient path must agree on randomly generated MRMs. This is exactly the validation
 // argument of thesis section 5.3.3 ("the results obtained using
 // uniformization and discretization methods converge to the same value"),
 // run over a family of seeds instead of one hand-picked model.
@@ -9,9 +9,9 @@
 #include "checker/until.hpp"
 #include "checker/verdict.hpp"
 #include "core/transform.hpp"
+#include "dfpg_oracle.hpp"
 #include "models/random_mrm.hpp"
 #include "numeric/discretization.hpp"
-#include "numeric/path_explorer.hpp"
 #include "obs/stats.hpp"
 #include "sim/simulator.hpp"
 
@@ -54,8 +54,8 @@ TEST_P(EnginesAgree, UniformizationMatchesDiscretization) {
   }
   const core::Mrm transformed = core::make_absorbing(model, absorb);
 
-  numeric::UniformizationUntilEngine engine(transformed, psi, dead);
-  numeric::PathExplorerOptions uopts;
+  oracle::DfpgUntilEngine engine(transformed, psi, dead);
+  oracle::DfpgOptions uopts;
   uopts.truncation_probability = 1e-13;
 
   numeric::DiscretizationOptions dopts;
@@ -159,8 +159,8 @@ TEST_P(ImpulseHeavyEnginesAgree, AllThreeEnginesAgreeAndReportStats) {
   std::vector<bool> dead(model.num_states(), false);  // phi holds everywhere
   const core::Mrm transformed = core::make_absorbing(model, psi);
 
-  numeric::UniformizationUntilEngine engine(transformed, psi, dead);
-  numeric::PathExplorerOptions uopts;
+  oracle::DfpgUntilEngine engine(transformed, psi, dead);
+  oracle::DfpgOptions uopts;
   uopts.truncation_probability = 1e-13;
 
   numeric::DiscretizationOptions dopts;
@@ -223,10 +223,10 @@ TEST(CrossValidation, AggregationAblationIsExactOnRandomModels) {
     std::vector<bool> dead(model.num_states(), false);
     std::vector<bool> absorb = psi;
     const core::Mrm transformed = core::make_absorbing(model, absorb);
-    numeric::UniformizationUntilEngine engine(transformed, psi, dead);
-    numeric::PathExplorerOptions aggregated;
+    oracle::DfpgUntilEngine engine(transformed, psi, dead);
+    oracle::DfpgOptions aggregated;
     aggregated.truncation_probability = 1e-11;
-    numeric::PathExplorerOptions per_path = aggregated;
+    oracle::DfpgOptions per_path = aggregated;
     per_path.aggregate_signatures = false;
     const auto a = engine.compute(0, 1.0, 5.0, aggregated);
     const auto b = engine.compute(0, 1.0, 5.0, per_path);

@@ -9,9 +9,9 @@
 
 #include "checker/until.hpp"
 #include "core/transform.hpp"
+#include "dfpg_oracle.hpp"
 #include "linalg/gauss_seidel.hpp"
 #include "models/random_mrm.hpp"
-#include "numeric/path_explorer.hpp"
 #include "numeric/transient.hpp"
 #include "obs/stats.hpp"
 
@@ -46,8 +46,8 @@ TEST_P(StatsInvariants, VisitedPathsDominateTruncatedPaths) {
   std::vector<bool> dead(model.num_states(), false);
   const core::Mrm transformed = core::make_absorbing(model, psi);
 
-  numeric::UniformizationUntilEngine engine(transformed, psi, dead);
-  numeric::PathExplorerOptions options;
+  oracle::DfpgUntilEngine engine(transformed, psi, dead);
+  oracle::DfpgOptions options;
   options.truncation_probability = 1e-6;
   numeric::UntilUniformizationResult totals;
   for (core::StateIndex start = 0; start < model.num_states(); ++start) {

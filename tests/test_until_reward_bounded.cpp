@@ -6,8 +6,8 @@
 
 #include "checker/until.hpp"
 #include "core/transform.hpp"
+#include "dfpg_oracle.hpp"
 #include "models/wavelan.hpp"
-#include "numeric/path_explorer.hpp"
 
 namespace csrlmrm::checker {
 namespace {
@@ -203,22 +203,8 @@ TEST(RewardBoundedUntil, RejectsRewardLowerBounds) {
                UnsupportedFormulaError);
 }
 
-TEST(RewardBoundedUntil, SignatureAggregationDoesNotChangeTheResult) {
-  const core::Mrm model = models::make_wavelan();
-  const auto idle = model.labels().states_with("idle");
-  const auto busy = model.labels().states_with("busy");
-  CheckerOptions aggregated = tight(1e-18);
-  CheckerOptions per_path = tight(1e-18);
-  per_path.uniformization.aggregate_signatures = false;
-  const auto a = until_probabilities(model, idle, busy, logic::up_to(1.0),
-                                     logic::up_to(2000.0), aggregated);
-  const auto b = until_probabilities(model, idle, busy, logic::up_to(1.0),
-                                     logic::up_to(2000.0), per_path);
-  EXPECT_NEAR(a[models::kWavelanIdle].probability, b[models::kWavelanIdle].probability,
-              1e-12);
-}
-
-TEST(RewardBoundedUntil, EngineReportsExplorationStatistics) {
+/// The DFPG oracle on Example 3.6's M[!idle v busy].
+oracle::DfpgUntilEngine make_wavelan_oracle() {
   const core::Mrm model = models::make_wavelan();
   std::vector<bool> absorb(5, false);
   const auto idle = model.labels().states_with("idle");
@@ -228,8 +214,23 @@ TEST(RewardBoundedUntil, EngineReportsExplorationStatistics) {
     absorb[s] = !idle[s] || busy[s];
     dead[s] = !idle[s] && !busy[s];
   }
-  numeric::UniformizationUntilEngine engine(core::make_absorbing(model, absorb), busy, dead);
-  numeric::PathExplorerOptions options;
+  return oracle::DfpgUntilEngine(core::make_absorbing(model, absorb), busy, dead);
+}
+
+TEST(RewardBoundedUntil, SignatureAggregationDoesNotChangeTheResult) {
+  const oracle::DfpgUntilEngine engine = make_wavelan_oracle();
+  oracle::DfpgOptions aggregated;
+  aggregated.truncation_probability = 1e-18;
+  oracle::DfpgOptions per_path = aggregated;
+  per_path.aggregate_signatures = false;
+  const auto a = engine.compute(models::kWavelanIdle, 1.0, 2000.0, aggregated);
+  const auto b = engine.compute(models::kWavelanIdle, 1.0, 2000.0, per_path);
+  EXPECT_NEAR(a.probability, b.probability, 1e-12);
+}
+
+TEST(RewardBoundedUntil, EngineReportsExplorationStatistics) {
+  const oracle::DfpgUntilEngine engine = make_wavelan_oracle();
+  oracle::DfpgOptions options;
   options.truncation_probability = 1e-18;
   const auto result = engine.compute(models::kWavelanIdle, 1.0, 2000.0, options);
   EXPECT_GT(result.paths_stored, 0u);
