@@ -13,20 +13,20 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "checker/sat.hpp"
+#include "checker/verdict.hpp"
 #include "io/model_files.hpp"
 #include "models/generator.hpp"
 #include "lang/builder.hpp"
-#include "logic/parser.hpp"
 #include "logic/printer.hpp"
 #include "obs/stats.hpp"
 #include "parallel/thread_pool.hpp"
+#include "plan/batch.hpp"
 #include "plan/compiler.hpp"
-#include "plan/executor.hpp"
 #include "plan/printer.hpp"
 
 namespace {
@@ -51,8 +51,8 @@ void usage() {
                "  u=<w>     until formulas by uniformization, truncation probability w\n"
                "            (default: u=1e-8)\n"
                "  d=<step>  until formulas by discretization with the given step\n"
-               "  --threads N  worker threads for the numeric engines and the\n"
-               "            per-state fan-out (default: CSRLMRM_THREADS env var,\n"
+               "  --threads N  worker threads (1..4096) for the numeric engines and\n"
+               "            the per-state fan-out (default: CSRLMRM_THREADS env var,\n"
                "            else hardware concurrency; 1 = serial)\n"
                "  --stats[=file.json]  collect engine statistics (solver iterations,\n"
                "            Fox-Glynn windows, path counts, per-operator timings) and\n"
@@ -95,22 +95,6 @@ bool ends_with(const std::string& text, const char* suffix) {
   return text.size() >= s.size() && text.compare(text.size() - s.size(), s.size(), s) == 0;
 }
 
-/// Parses the --threads value; returns 0 (and prints a diagnostic) when it
-/// is not a positive integer, so a typo fails with a named error instead of
-/// a bare std::stoi exception message.
-unsigned parse_thread_count(const std::string& text) {
-  try {
-    std::size_t consumed = 0;
-    const int threads = std::stoi(text, &consumed);
-    if (consumed != text.size() || threads < 1) throw std::invalid_argument(text);
-    return static_cast<unsigned>(threads);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrmcheck: --threads expects a positive integer, got '%s'\n",
-                 text.c_str());
-    return 0;
-  }
-}
-
 /// Parses the value of u= / d= strictly: the whole token must be a finite,
 /// positive double. Returns false (with a diagnostic) otherwise, so
 /// `u=1e-8x` or `d=` fail loudly instead of being half-parsed by stod.
@@ -130,20 +114,21 @@ bool parse_positive_double(const std::string& text, const char* flag, double& ou
   }
 }
 
-/// Parses the value of --max-nodes= strictly: decimal digits only (no sign,
-/// no whitespace, no suffix) and positive — so `12abc` and `-5` fail loudly
-/// instead of being half-parsed or wrapped by stoull.
-bool parse_node_budget(const std::string& text, std::size_t& out) {
+/// Parses a count flag's value strictly: decimal digits only (no sign, no
+/// whitespace, no suffix) and in [1, max] — so `12abc`, `-5` or a thread
+/// count past parallel::kMaxThreads fail loudly instead of being half-parsed,
+/// wrapped by stoull or obeyed.
+bool parse_count(const std::string& text, const char* flag, unsigned long long max,
+                 unsigned long long& out) {
   try {
     if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos) {
       throw std::invalid_argument(text);
     }
-    const unsigned long long nodes = std::stoull(text);  // throws past the range
-    if (nodes == 0) throw std::invalid_argument(text);
-    out = static_cast<std::size_t>(nodes);
+    out = std::stoull(text);  // throws past the range
+    if (out == 0 || out > max) throw std::invalid_argument(text);
     return true;
   } catch (const std::exception&) {
-    std::fprintf(stderr, "mrmcheck: --max-nodes= expects a positive integer, got '%s'\n",
+    std::fprintf(stderr, "mrmcheck: %s expects an integer in [1, %llu], got '%s'\n", flag, max,
                  text.c_str());
     return false;
   }
@@ -177,9 +162,8 @@ std::vector<std::string> load_formula_lines(const std::string& path) {
   return lines;
 }
 
-/// Prints one batch formula's results in the single-formula output format
-/// (per-state values, satisfying states, UNKNOWN warnings). Returns whether
-/// any state's verdict is UNKNOWN.
+/// Prints one formula's results (per-state values, satisfying states,
+/// UNKNOWN warnings). Returns whether any state's verdict is UNKNOWN.
 bool report_plan_formula(const csrlmrm::core::Mrm& model,
                          const csrlmrm::logic::FormulaPtr& formula,
                          const csrlmrm::plan::FormulaResult& result,
@@ -286,8 +270,9 @@ int main(int argc, char** argv) {
         } else {
           value = token.substr(10);
         }
-        options.threads = parse_thread_count(value);
-        if (options.threads == 0) return 2;
+        unsigned long long threads = 0;
+        if (!parse_count(value, "--threads", parallel::kMaxThreads, threads)) return 2;
+        options.threads = static_cast<unsigned>(threads);
         parallel::set_default_thread_count(options.threads);
       } else if (token == "--stats" || token.rfind("--stats=", 0) == 0) {
         stats_requested = true;
@@ -331,7 +316,12 @@ int main(int argc, char** argv) {
           return 2;
         }
       } else if (token.rfind("--max-nodes=", 0) == 0) {
-        if (!parse_node_budget(token.substr(12), options.uniformization.max_nodes)) return 2;
+        unsigned long long nodes = 0;
+        if (!parse_count(token.substr(12), "--max-nodes=", std::numeric_limits<std::size_t>::max(),
+                         nodes)) {
+          return 2;
+        }
+        options.uniformization.max_nodes = static_cast<std::size_t>(nodes);
       } else if (token.rfind("--", 0) == 0) {
         std::fprintf(stderr, "mrmcheck: unknown option '%s'\n", token.c_str());
         usage();
@@ -406,195 +396,58 @@ int main(int argc, char** argv) {
                 model.num_states(), model.rates().matrix().non_zeros(),
                 model.has_impulse_rewards() ? "yes" : "no");
 
-    if (!formulas_path.empty() || explain) {
-      // Batch / explain mode: compile the whole batch into one plan so
-      // structurally shared subformulas, solves, and absorbing transforms
-      // are each evaluated once (see src/plan/).
-      //
-      // Per-formula error isolation: a malformed (or unsupported) formula
-      // fails alone — its error is reported in its batch slot, every other
-      // formula still runs, and the process exits 4 instead of aborting the
-      // whole batch on the first bad line.
-      const std::vector<std::string> texts =
-          formulas_path.empty() ? std::vector<std::string>{formula_text}
-                                : load_formula_lines(formulas_path);
-      std::vector<logic::FormulaPtr> formulas(texts.size());
-      std::vector<std::string> parse_errors(texts.size());
-      std::vector<std::size_t> runnable;
-      for (std::size_t i = 0; i < texts.size(); ++i) {
-        try {
-          formulas[i] = logic::parse_formula(texts[i]);
-          runnable.push_back(i);
-        } catch (const std::exception& error) {
-          parse_errors[i] = error.what();
-        }
-      }
+    // A positional formula is a batch of one: it runs through the same plan
+    // as a --formulas file (see src/plan/batch.hpp), prints without the
+    // "[i/n] " slot prefix, and its failure is the run's failure (exit 1).
+    const bool positional_formula = formulas_path.empty();
+    const std::vector<std::string> texts =
+        positional_formula ? std::vector<std::string>{formula_text}
+                           : load_formula_lines(formulas_path);
+
+    if (explain) {
       std::vector<logic::FormulaPtr> good;
-      good.reserve(runnable.size());
-      for (const std::size_t i : runnable) good.push_back(formulas[i]);
-
-      if (explain) {
-        for (std::size_t i = 0; i < texts.size(); ++i) {
-          if (!parse_errors[i].empty()) {
-            std::fprintf(stderr, "mrmcheck: formula %zu '%s': %s\n", i + 1,
-                         texts[i].c_str(), parse_errors[i].c_str());
-          }
-        }
-        if (!good.empty()) {
-          const plan::Plan compiled = plan::compile(model, good, options);
-          std::printf("%s", plan::print_plan(compiled).c_str());
-        }
-        return runnable.size() == texts.size() ? 0 : 4;
-      }
-
-      // Execute the parsed formulas as one shared plan; when a formula
-      // poisons the shared execution (unsupported bound shapes surface at
-      // solve time), re-run each alone so only the offender fails — plan
-      // results are bitwise-identical at every batch composition.
-      std::vector<const plan::FormulaResult*> results_by_index(texts.size(), nullptr);
-      std::vector<std::string> check_errors(texts.size());
-      plan::PlanResult batch_results;
-      std::vector<plan::PlanResult> single_results(texts.size());
-      bool batch_ok = false;
-      if (!good.empty()) {
-        try {
-          const plan::Plan compiled = plan::compile(model, good, options);
-          batch_results = plan::execute(compiled, model);
-          batch_ok = true;
-          for (std::size_t k = 0; k < runnable.size(); ++k) {
-            results_by_index[runnable[k]] = &batch_results.formulas[k];
-          }
-        } catch (const std::exception&) {
-          // fall through to per-formula runs
-        }
-        if (!batch_ok) {
-          for (const std::size_t i : runnable) {
-            try {
-              const plan::Plan single = plan::compile(model, {formulas[i]}, options);
-              single_results[i] = plan::execute(single, model);
-              results_by_index[i] = &single_results[i].formulas[0];
-            } catch (const std::exception& error) {
-              check_errors[i] = error.what();
-            }
-          }
-        }
-      }
-
-      bool batch_unknown = false;
-      bool any_failed = false;
+      const std::vector<plan::BatchEntry> entries = plan::parse_batch(texts);
       for (std::size_t i = 0; i < texts.size(); ++i) {
-        std::printf("[%zu/%zu] ", i + 1, texts.size());
-        if (results_by_index[i] != nullptr) {
-          const bool unknown = report_plan_formula(model, formulas[i], *results_by_index[i],
-                                                   print_probabilities);
-          batch_unknown = batch_unknown || unknown;
+        if (entries[i].formula) {
+          good.push_back(entries[i].formula);
         } else {
-          const std::string& message =
-              parse_errors[i].empty() ? check_errors[i] : parse_errors[i];
-          std::printf("formula: %s\n  error: %s\n", texts[i].c_str(), message.c_str());
           std::fprintf(stderr, "mrmcheck: formula %zu '%s': %s\n", i + 1, texts[i].c_str(),
-                       message.c_str());
-          any_failed = true;
+                       entries[i].error.c_str());
         }
       }
-      if (stats_requested) {
-        const std::string json = obs::StatsRegistry::global().to_json();
-        if (stats_path.empty()) {
-          std::printf("stats:\n%s", json.c_str());
-        } else {
-          std::ofstream out(stats_path);
-          out << json;
-          if (!out) {
-            std::fprintf(stderr, "mrmcheck: failed writing stats file '%s'\n",
-                         stats_path.c_str());
-            return 1;
-          }
-          std::printf("stats: written to %s\n", stats_path.c_str());
-        }
+      if (!good.empty()) {
+        std::printf("%s", plan::print_plan(plan::compile(model, good, options)).c_str());
       }
-      if (strict && batch_unknown) {
-        std::fprintf(stderr, "mrmcheck: --strict: UNKNOWN verdicts present\n");
-        if (!any_failed) return 3;
-      }
-      if (any_failed) {
-        std::fprintf(stderr, "mrmcheck: batch completed with per-formula failures\n");
-        return 4;
-      }
-      return 0;
+      return good.size() == texts.size() ? 0 : 4;
     }
 
-    const logic::FormulaPtr formula = logic::parse_formula(formula_text);
-    std::printf("formula: %s\n", logic::to_string(formula).c_str());
-
-    checker::ModelChecker checker(model, options);
-
-    if (print_probabilities &&
-        (formula->kind == logic::FormulaKind::kProbUntil ||
-         formula->kind == logic::FormulaKind::kProbNext)) {
-      const auto values = checker.path_probabilities(formula);
-      for (core::StateIndex s = 0; s < model.num_states(); ++s) {
-        std::printf("  P(state %zu) = %.17g", s + 1, values[s].probability);
-        if (values[s].bound.width() > 0.0) {
-          std::printf("  (in %s)", values[s].bound.to_string().c_str());
-        }
-        std::printf("\n");
-      }
-    }
-    if (print_probabilities && formula->kind == logic::FormulaKind::kSteady) {
-      const auto values = checker.steady_probabilities(formula);
-      for (core::StateIndex s = 0; s < model.num_states(); ++s) {
-        std::printf("  pi(state %zu) = %.17g\n", s + 1, values[s]);
-      }
-    }
-    if (print_probabilities && formula->kind == logic::FormulaKind::kExpectedReward) {
-      const auto values = checker.expected_rewards(formula);
-      for (core::StateIndex s = 0; s < model.num_states(); ++s) {
-        std::printf("  E(state %zu) = %.17g\n", s + 1, values[s]);
-      }
-    }
-
-    const auto verdicts = checker.verdicts(formula);
-    std::printf("satisfying states (1-based):");
-    bool any = false;
+    const plan::BatchOutcome outcome = plan::check_batch(model, texts, options);
     bool any_unknown = false;
-    for (core::StateIndex s = 0; s < model.num_states(); ++s) {
-      if (verdicts[s] == checker::Verdict::kSat) {
-        std::printf(" %zu", s + 1);
-        any = true;
-      } else if (verdicts[s] == checker::Verdict::kUnknown) {
-        any_unknown = true;
-      }
-    }
-    std::printf("%s\n", any ? "" : " (none)");
-
-    if (any_unknown) {
-      const bool is_operator = formula->kind == logic::FormulaKind::kSteady ||
-                               formula->kind == logic::FormulaKind::kProbNext ||
-                               formula->kind == logic::FormulaKind::kProbUntil ||
-                               formula->kind == logic::FormulaKind::kExpectedReward;
-      std::vector<checker::ProbabilityBound> bounds;
-      if (is_operator) bounds = checker.value_bounds(formula);
-      std::printf("UNKNOWN states (1-based):");
-      for (core::StateIndex s = 0; s < model.num_states(); ++s) {
-        if (verdicts[s] == checker::Verdict::kUnknown) std::printf(" %zu", s + 1);
-      }
-      std::printf("\n");
-      for (core::StateIndex s = 0; s < model.num_states(); ++s) {
-        if (verdicts[s] != checker::Verdict::kUnknown) continue;
-        if (is_operator) {
-          std::fprintf(stderr,
-                       "mrmcheck: warning: state %zu is UNKNOWN — value interval %s straddles "
-                       "the threshold; tighten w/epsilon/d or use --strict to fail\n",
-                       s + 1, bounds[s].to_string().c_str());
-        } else {
-          std::fprintf(stderr,
-                       "mrmcheck: warning: state %zu is UNKNOWN — a sub-formula's value "
-                       "interval straddles its threshold at the configured accuracy\n",
-                       s + 1);
+    bool any_failed = false;
+    for (std::size_t i = 0; i < texts.size(); ++i) {
+      const plan::BatchEntry& entry = outcome.entries[i];
+      if (positional_formula) {
+        if (!entry.error.empty()) {
+          if (entry.formula) {
+            std::printf("formula: %s\n", logic::to_string(entry.formula).c_str());
+          }
+          std::fprintf(stderr, "mrmcheck: %s\n", entry.error.c_str());
+          return 1;
         }
+      } else {
+        std::printf("[%zu/%zu] ", i + 1, texts.size());
+      }
+      if (entry.error.empty()) {
+        const bool unknown =
+            report_plan_formula(model, entry.formula, entry.result, print_probabilities);
+        any_unknown = any_unknown || unknown;
+      } else {
+        std::printf("formula: %s\n  error: %s\n", texts[i].c_str(), entry.error.c_str());
+        std::fprintf(stderr, "mrmcheck: formula %zu '%s': %s\n", i + 1, texts[i].c_str(),
+                     entry.error.c_str());
+        any_failed = true;
       }
     }
-
     if (stats_requested) {
       const std::string json = obs::StatsRegistry::global().to_json();
       if (stats_path.empty()) {
@@ -603,7 +456,8 @@ int main(int argc, char** argv) {
         std::ofstream out(stats_path);
         out << json;
         if (!out) {
-          std::fprintf(stderr, "mrmcheck: failed writing stats file '%s'\n", stats_path.c_str());
+          std::fprintf(stderr, "mrmcheck: failed writing stats file '%s'\n",
+                       stats_path.c_str());
           return 1;
         }
         std::printf("stats: written to %s\n", stats_path.c_str());
@@ -611,7 +465,11 @@ int main(int argc, char** argv) {
     }
     if (strict && any_unknown) {
       std::fprintf(stderr, "mrmcheck: --strict: UNKNOWN verdicts present\n");
-      return 3;
+      if (!any_failed) return 3;
+    }
+    if (any_failed) {
+      std::fprintf(stderr, "mrmcheck: batch completed with per-formula failures\n");
+      return 4;
     }
     return 0;
   } catch (const std::exception& error) {

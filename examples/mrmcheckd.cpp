@@ -1,7 +1,7 @@
 // mrmcheckd — the long-lived model-checking service:
 //
-//   mrmcheckd --socket=<path> [--threads N] [--max-queue N]
-//             [--models N] [--stats]
+//   mrmcheckd --socket=<path> [--threads N] [--max-queue=N]
+//             [--models=N] [--stats]
 //             [--preload name=<model.spec> | name=<prefix> ...]
 //
 // Listens on a unix domain socket for newline-delimited JSON requests (see
@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -32,14 +33,14 @@ namespace {
 
 void usage() {
   std::fprintf(stderr,
-               "usage: mrmcheckd --socket=<path> [--threads N] [--max-queue N]\n"
-               "                 [--models N] [--stats] [--preload name=<model> ...]\n"
+               "usage: mrmcheckd --socket=<path> [--threads N] [--max-queue=N]\n"
+               "                 [--models=N] [--stats] [--preload name=<model> ...]\n"
                "\n"
                "  --socket=<path>   unix socket to listen on (required)\n"
-               "  --threads N       worker threads for the numeric engines\n"
-               "  --max-queue N     pending requests admitted before answering\n"
+               "  --threads N       worker threads for the numeric engines (1..4096)\n"
+               "  --max-queue=N     pending requests admitted before answering\n"
                "                    degraded (default 64)\n"
-               "  --models N        resident model capacity (default 8, LRU)\n"
+               "  --models=N        resident model capacity (default 8, LRU)\n"
                "  --stats           enable engine statistics collection\n"
                "  --preload name=<model.spec or prefix or gen:spec>  register a\n"
                "                    model at startup under the given name;\n"
@@ -47,19 +48,27 @@ void usage() {
                "                    generator (families: crowd, grid, virus)\n");
 }
 
-bool parse_count(const std::string& text, const char* flag, std::size_t& out) {
+/// Parses a count flag's value strictly: decimal digits only (no sign, no
+/// whitespace, no suffix) and in [1, max] — so `-5` fails instead of
+/// wrapping, and an oversized value fails instead of being truncated.
+bool parse_count(const std::string& text, const char* flag, unsigned long long max,
+                 std::size_t& out) {
   try {
-    std::size_t consumed = 0;
-    const unsigned long long value = std::stoull(text, &consumed);
-    if (consumed != text.size() || value == 0) throw std::invalid_argument(text);
+    if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos) {
+      throw std::invalid_argument(text);
+    }
+    const unsigned long long value = std::stoull(text);  // throws past the range
+    if (value == 0 || value > max) throw std::invalid_argument(text);
     out = static_cast<std::size_t>(value);
     return true;
   } catch (const std::exception&) {
-    std::fprintf(stderr, "mrmcheckd: %s expects a positive integer, got '%s'\n", flag,
+    std::fprintf(stderr, "mrmcheckd: %s expects an integer in [1, %llu], got '%s'\n", flag, max,
                  text.c_str());
     return false;
   }
 }
+
+constexpr unsigned long long kMaxCount = std::numeric_limits<std::size_t>::max();
 
 bool ends_with(const std::string& text, const char* suffix) {
   const std::string s(suffix);
@@ -104,13 +113,17 @@ int main(int argc, char** argv) {
         value = token.substr(10);
       }
       std::size_t threads = 0;
-      if (!parse_count(value, "--threads", threads)) return 2;
+      if (!parse_count(value, "--threads", parallel::kMaxThreads, threads)) return 2;
       options.service.checker.threads = static_cast<unsigned>(threads);
       parallel::set_default_thread_count(static_cast<unsigned>(threads));
     } else if (token.rfind("--max-queue=", 0) == 0) {
-      if (!parse_count(token.substr(12), "--max-queue=", options.service.max_queue)) return 2;
+      if (!parse_count(token.substr(12), "--max-queue=", kMaxCount, options.service.max_queue)) {
+        return 2;
+      }
     } else if (token.rfind("--models=", 0) == 0) {
-      if (!parse_count(token.substr(9), "--models=", options.registry_capacity)) return 2;
+      if (!parse_count(token.substr(9), "--models=", kMaxCount, options.registry_capacity)) {
+        return 2;
+      }
     } else if (token == "--stats") {
       obs::set_stats_enabled(true);
     } else if (token == "--preload") {

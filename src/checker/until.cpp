@@ -39,6 +39,19 @@ std::shared_ptr<const core::Mrm> absorbing_model(const core::Mrm& model,
   return std::make_shared<const core::Mrm>(core::make_absorbing(model, absorb));
 }
 
+/// Reward bounds must be trivial or of the form [0,r] (thesis section 4.6).
+bool reward_shape_supported(const logic::Interval& reward) {
+  return reward.is_trivial() ||
+         (core::exactly_zero(reward.lower()) && !reward.is_upper_unbounded());
+}
+
+/// The !Phi && !Psi states: they can never satisfy the until.
+std::vector<bool> dead_mask(const std::vector<bool>& sat_phi, const std::vector<bool>& sat_psi) {
+  std::vector<bool> dead(sat_phi.size(), false);
+  for (std::size_t s = 0; s < dead.size(); ++s) dead[s] = !sat_phi[s] && !sat_psi[s];
+  return dead;
+}
+
 /// The O(1) conditions of the up-front discretization rule (see
 /// choose_until_method).
 bool may_discretize_up_front(const core::Mrm& transformed, const CheckerOptions& options) {
@@ -47,6 +60,41 @@ bool may_discretize_up_front(const core::Mrm& transformed, const CheckerOptions&
 }
 
 }  // namespace
+
+UntilClass classify_until(const logic::Interval& time_bound,
+                          const logic::Interval& reward_bound) {
+  if (!reward_shape_supported(reward_bound)) return UntilClass::kUnsupported;
+  const bool reward_trivial = reward_bound.is_trivial();
+  if (time_bound.is_trivial() && reward_trivial) return UntilClass::kUnbounded;
+  const bool time_bounded = !time_bound.is_upper_unbounded();
+  // [t1,t2] with t1 > 0 and no reward bound: the two-phase reduction (which
+  // also covers the reward-free point interval [t,t]).
+  if (reward_trivial && time_bound.lower() > 0.0 && time_bounded) return UntilClass::kTwoPhase;
+  const bool time_zero_based = core::exactly_zero(time_bound.lower()) && time_bounded;
+  const bool time_point = time_bound.is_point() && time_bounded;
+  if (!time_zero_based && !time_point) return UntilClass::kUnsupported;
+  if (reward_trivial) return UntilClass::kTimeBounded;  // time_zero_based holds here
+  if (time_point && time_bound.lower() > 0.0) return UntilClass::kPointTimeReward;
+  return UntilClass::kTimeReward;
+}
+
+const char* to_string(UntilClass cls) {
+  switch (cls) {
+    case UntilClass::kUnbounded:
+      return "P0:unbounded";
+    case UntilClass::kTimeBounded:
+      return "P1:time-bounded";
+    case UntilClass::kTwoPhase:
+      return "P1':two-phase";
+    case UntilClass::kTimeReward:
+      return "P2:time-reward";
+    case UntilClass::kPointTimeReward:
+      return "P2:point-time-reward";
+    case UntilClass::kUnsupported:
+      return "unsupported";
+  }
+  return "?";
+}
 
 std::vector<double> unbounded_until_probabilities(const core::Mrm& model,
                                                   const std::vector<bool>& sat_phi,
@@ -291,155 +339,143 @@ std::vector<UntilValue> until_probabilities(const core::Mrm& model,
   // Engine-level thread counts left at 0 inherit the checker-level knob.
   const CheckerOptions options = with_inherited_threads(caller_options);
 
-  const bool time_trivial = time_bound.is_trivial();
-  const bool reward_trivial = reward_bound.is_trivial();
-
-  // Reward bounds must be of the form [0,r] (or trivial); the point-interval
-  // time variant is handled below.
-  if (!reward_trivial &&
-      (!core::exactly_zero(reward_bound.lower()) || reward_bound.is_upper_unbounded())) {
-    throw UnsupportedFormulaError(
-        "until: reward bounds must have the form [0,r] (thesis section 4.6: general reward "
-        "intervals are future work)");
-  }
-
-  // P0: Phi U Psi. Graph precomputation pins exact zeros/ones; the linear
-  // solve converges to solver.tolerance (treated as exact, like the thesis).
-  if (time_trivial && reward_trivial) {
-    const auto probabilities =
-        unbounded_until_probabilities(model, sat_phi, sat_psi, options.solver);
-    std::vector<UntilValue> values(n);
-    for (core::StateIndex s = 0; s < n; ++s) values[s] = exact_until_value(probabilities[s]);
-    return values;
-  }
-
-  // P1': general time interval [t1,t2] with t1 > 0 and no reward bound —
-  // the two-phase reduction of [Bai03]: run the chain in M[!Phi] until t1
-  // (any visit to a !Phi state is fatal; Psi-states without Phi are
-  // absorbed there as well, and they contribute nothing because the
-  // witness time cannot lie before t1), then solve the residual
-  // Phi U^[0,t2-t1] Psi problem from every Phi-state reached.
-  if (reward_trivial && time_bound.lower() > 0.0 && !time_bound.is_upper_unbounded()) {
-    const double t1 = time_bound.lower();
-    const double t2 = time_bound.upper();
-
-    std::vector<bool> not_phi(n, false);
-    for (core::StateIndex s = 0; s < n; ++s) not_phi[s] = !sat_phi[s];
-    const auto phase_one_ptr = absorbing_model(model, not_phi, transforms);
-    const core::Mrm& phase_one = *phase_one_ptr;
-
-    const auto residual = until_probabilities(model, sat_phi, sat_psi,
-                                              logic::Interval(0.0, t2 - t1),
-                                              logic::Interval{}, options, transforms);
-
-    // Phase one, backward: one series per residual component f, masked to
-    // Phi, gives E[f(X(t1)) | X(0) = s] in M[!Phi] for every start s at once.
-    // Components that coincide (lower == probability whenever the residual
-    // is exact on the low side) share one series.
-    enum Component { kProbability, kError, kLower, kUpper, kComponents };
-    std::vector<std::vector<double>> terminal(kComponents, std::vector<double>(n, 0.0));
-    for (core::StateIndex mid = 0; mid < n; ++mid) {
-      if (!sat_phi[mid]) continue;
-      terminal[kProbability][mid] = residual[mid].probability;
-      terminal[kError][mid] = residual[mid].error_bound;
-      terminal[kLower][mid] = residual[mid].bound.lower;
-      terminal[kUpper][mid] = residual[mid].bound.upper;
-    }
-    std::vector<numeric::TransientResult> at_t1(kComponents);
-    for (int c = 0; c < kComponents; ++c) {
-      const auto same = std::find(terminal.begin(), terminal.begin() + c, terminal[c]);
-      at_t1[c] = same != terminal.begin() + c
-                     ? at_t1[same - terminal.begin()]
-                     : numeric::transient_expectations(phase_one.rates(), terminal[c], t1,
-                                                       options.transient);
-    }
-
-    std::vector<UntilValue> values(n);
-    const double lost = options.transient.epsilon;  // one-sided Fox-Glynn loss
-    for (core::StateIndex s = 0; s < n; ++s) {
-      if (!sat_phi[s]) continue;
-      // Interval arithmetic over the convex combination: the phase-one
-      // weights underestimate by at most epsilon of total mass (Fox-Glynn
-      // truncation only loses terms), each residual contributes its own
-      // enclosure, and each series' steady-state fold is two-sided, so
-      // [lower - fold, upper + epsilon + fold] contains the truth.
-      const double probability = at_t1[kProbability].values[s];
-      const double error = lost + at_t1[kError].values[s] + at_t1[kError].steady_error +
-                           at_t1[kProbability].steady_error;
-      const double lower = at_t1[kLower].values[s] - at_t1[kLower].steady_error;
-      const double upper = lost + at_t1[kUpper].values[s] + at_t1[kUpper].steady_error;
-      values[s] = {probability, error,
-                   ProbabilityBound{std::max(0.0, lower), std::min(1.0, upper)}};
-    }
-    return values;
-  }
-
-  // Remaining cases need a bounded time interval of the form [0,t] or [t,t].
-  const bool time_zero_based = core::exactly_zero(time_bound.lower()) && !time_bound.is_upper_unbounded();
-  const bool time_point = time_bound.is_point() && !time_bound.is_upper_unbounded();
-  if (!time_zero_based && !time_point) {
-    throw UnsupportedFormulaError(
-        "until: time bounds must have the form [0,t], [t1,t2] (reward-unbounded), or [t,t] "
-        "(thesis sections 4.3.2/4.6 and [Bai03])");
-  }
-
-  // Reward-unbounded cases with a time interval [0,~] were handled as P0; a
-  // reward bound with unbounded time is outside the thesis's algorithms.
-  if (reward_trivial && time_zero_based) {
-    // P1: Phi U^[0,t] Psi = transient analysis of M[!Phi v Psi] (Thm 4.1).
-    std::vector<bool> absorb(n, false);
-    for (core::StateIndex s = 0; s < n; ++s) absorb[s] = !sat_phi[s] || sat_psi[s];
-    const auto transformed_ptr = absorbing_model(model, absorb, transforms);
-    const core::Mrm& transformed = *transformed_ptr;
-    // One backward column series u_{k+1} = P u_k answers every start state
-    // at once. Since Psi is absorbing in M[!Phi v Psi], the hit probability
-    // at t equals the until probability.
-    const auto hit = numeric::transient_hit_probabilities(
-        transformed.rates(), sat_psi, time_bound.upper(), options.transient);
-    const double lost = options.transient.epsilon;  // one-sided Fox-Glynn loss
-    const double steady = hit.steady_error;         // two-sided fold error
-    std::vector<UntilValue> values(n);
-    for (core::StateIndex s = 0; s < n; ++s) {
-      if (sat_psi[s]) {
-        values[s] = exact_until_value(1.0);  // absorbed Psi start: case 1 of eq. (3.6)
-        continue;
-      }
-      const double p = hit.values[s];
-      // True value lies in [p - steady, p + lost + steady]; with detection
-      // off (steady == 0) this is the usual truncation enclosure.
-      values[s] = {p, lost + steady, ProbabilityBound::from_point_error(p, steady, lost + steady)};
-    }
-    return values;
-  }
-  // Reward-trivial cases are fully covered above ([0,t] by P1, [t1,t2] and
-  // [t,t] with t > 0 by the two-phase P1' reduction).
-
-  const double t = time_bound.upper();
-  const double r = reward_bound.upper();
-
-  std::vector<bool> dead(n, false);
-  for (core::StateIndex s = 0; s < n; ++s) dead[s] = !sat_phi[s] && !sat_psi[s];
-
-  if (time_point && time_bound.lower() > 0.0) {
-    // Theorem 4.2 requires Psi => Phi; only !Phi && !Psi states become
-    // absorbing, Psi-states stay live.
-    for (core::StateIndex s = 0; s < n; ++s) {
-      if (sat_psi[s] && !sat_phi[s]) {
+  switch (classify_until(time_bound, reward_bound)) {
+    case UntilClass::kUnsupported:
+      if (!reward_shape_supported(reward_bound)) {
         throw UnsupportedFormulaError(
-            "until with point time interval [t,t] requires Psi => Phi (Theorem 4.2)");
+            "until: reward bounds must have the form [0,r] (thesis section 4.6: general "
+            "reward intervals are future work)");
       }
-    }
-    const auto transformed_ptr = absorbing_model(model, dead, transforms);
-    return bounded_time_reward(*transformed_ptr, sat_psi, dead, t, r, options,
-                               /*psi_absorbed=*/false);
-  }
+      throw UnsupportedFormulaError(
+          "until: time bounds must have the form [0,t], [t1,t2] (reward-unbounded), or [t,t] "
+          "(thesis sections 4.3.2/4.6 and [Bai03])");
 
-  // P2: Phi U^[0,t]_[0,r] Psi on M[!Phi v Psi] (Theorems 4.1 + 4.3).
-  std::vector<bool> absorb(n, false);
-  for (core::StateIndex s = 0; s < n; ++s) absorb[s] = !sat_phi[s] || sat_psi[s];
-  const auto transformed_ptr = absorbing_model(model, absorb, transforms);
-  return bounded_time_reward(*transformed_ptr, sat_psi, dead, t, r, options,
-                             /*psi_absorbed=*/true);
+    case UntilClass::kUnbounded: {
+      // P0: Phi U Psi. Graph precomputation pins exact zeros/ones; the linear
+      // solve converges to solver.tolerance (treated as exact, like the
+      // thesis).
+      const auto probabilities =
+          unbounded_until_probabilities(model, sat_phi, sat_psi, options.solver);
+      std::vector<UntilValue> values(n);
+      for (core::StateIndex s = 0; s < n; ++s) values[s] = exact_until_value(probabilities[s]);
+      return values;
+    }
+
+    case UntilClass::kTwoPhase: {
+      // P1': general time interval [t1,t2] with t1 > 0 and no reward bound —
+      // the two-phase reduction of [Bai03]: run the chain in M[!Phi] until t1
+      // (any visit to a !Phi state is fatal; Psi-states without Phi are
+      // absorbed there as well, and they contribute nothing because the
+      // witness time cannot lie before t1), then solve the residual
+      // Phi U^[0,t2-t1] Psi problem from every Phi-state reached.
+      const double t1 = time_bound.lower();
+      const double t2 = time_bound.upper();
+
+      std::vector<bool> not_phi(n, false);
+      for (core::StateIndex s = 0; s < n; ++s) not_phi[s] = !sat_phi[s];
+      const auto phase_one_ptr = absorbing_model(model, not_phi, transforms);
+      const core::Mrm& phase_one = *phase_one_ptr;
+
+      const auto residual = until_probabilities(model, sat_phi, sat_psi,
+                                                logic::Interval(0.0, t2 - t1),
+                                                logic::Interval{}, options, transforms);
+
+      // Phase one, backward: one series per residual component f, masked to
+      // Phi, gives E[f(X(t1)) | X(0) = s] in M[!Phi] for every start s at once.
+      // Components that coincide (lower == probability whenever the residual
+      // is exact on the low side) share one series.
+      enum Component { kProbability, kError, kLower, kUpper, kComponents };
+      std::vector<std::vector<double>> terminal(kComponents, std::vector<double>(n, 0.0));
+      for (core::StateIndex mid = 0; mid < n; ++mid) {
+        if (!sat_phi[mid]) continue;
+        terminal[kProbability][mid] = residual[mid].probability;
+        terminal[kError][mid] = residual[mid].error_bound;
+        terminal[kLower][mid] = residual[mid].bound.lower;
+        terminal[kUpper][mid] = residual[mid].bound.upper;
+      }
+      std::vector<numeric::TransientResult> at_t1(kComponents);
+      for (int c = 0; c < kComponents; ++c) {
+        const auto same = std::find(terminal.begin(), terminal.begin() + c, terminal[c]);
+        at_t1[c] = same != terminal.begin() + c
+                       ? at_t1[same - terminal.begin()]
+                       : numeric::transient_expectations(phase_one.rates(), terminal[c], t1,
+                                                         options.transient);
+      }
+
+      std::vector<UntilValue> values(n);
+      const double lost = options.transient.epsilon;  // one-sided Fox-Glynn loss
+      for (core::StateIndex s = 0; s < n; ++s) {
+        if (!sat_phi[s]) continue;
+        // Interval arithmetic over the convex combination: the phase-one
+        // weights underestimate by at most epsilon of total mass (Fox-Glynn
+        // truncation only loses terms), each residual contributes its own
+        // enclosure, and each series' steady-state fold is two-sided, so
+        // [lower - fold, upper + epsilon + fold] contains the truth.
+        const double probability = at_t1[kProbability].values[s];
+        const double error = lost + at_t1[kError].values[s] + at_t1[kError].steady_error +
+                             at_t1[kProbability].steady_error;
+        const double lower = at_t1[kLower].values[s] - at_t1[kLower].steady_error;
+        const double upper = lost + at_t1[kUpper].values[s] + at_t1[kUpper].steady_error;
+        values[s] = {probability, error,
+                     ProbabilityBound{std::max(0.0, lower), std::min(1.0, upper)}};
+      }
+      return values;
+    }
+
+    case UntilClass::kTimeBounded: {
+      // P1: Phi U^[0,t] Psi = transient analysis of M[!Phi v Psi] (Thm 4.1).
+      std::vector<bool> absorb(n, false);
+      for (core::StateIndex s = 0; s < n; ++s) absorb[s] = !sat_phi[s] || sat_psi[s];
+      const auto transformed_ptr = absorbing_model(model, absorb, transforms);
+      const core::Mrm& transformed = *transformed_ptr;
+      // One backward column series u_{k+1} = P u_k answers every start state
+      // at once. Since Psi is absorbing in M[!Phi v Psi], the hit probability
+      // at t equals the until probability.
+      const auto hit = numeric::transient_hit_probabilities(
+          transformed.rates(), sat_psi, time_bound.upper(), options.transient);
+      const double lost = options.transient.epsilon;  // one-sided Fox-Glynn loss
+      const double steady = hit.steady_error;         // two-sided fold error
+      std::vector<UntilValue> values(n);
+      for (core::StateIndex s = 0; s < n; ++s) {
+        if (sat_psi[s]) {
+          values[s] = exact_until_value(1.0);  // absorbed Psi start: case 1 of eq. (3.6)
+          continue;
+        }
+        const double p = hit.values[s];
+        // True value lies in [p - steady, p + lost + steady]; with detection
+        // off (steady == 0) this is the usual truncation enclosure.
+        values[s] = {p, lost + steady,
+                     ProbabilityBound::from_point_error(p, steady, lost + steady)};
+      }
+      return values;
+    }
+
+    case UntilClass::kPointTimeReward: {
+      // [t,t] with t > 0: Theorem 4.2 requires Psi => Phi; only
+      // !Phi && !Psi states become absorbing, Psi-states stay live.
+      for (core::StateIndex s = 0; s < n; ++s) {
+        if (sat_psi[s] && !sat_phi[s]) {
+          throw UnsupportedFormulaError(
+              "until with point time interval [t,t] requires Psi => Phi (Theorem 4.2)");
+        }
+      }
+      const std::vector<bool> dead = dead_mask(sat_phi, sat_psi);
+      const auto transformed_ptr = absorbing_model(model, dead, transforms);
+      return bounded_time_reward(*transformed_ptr, sat_psi, dead, time_bound.upper(),
+                                 reward_bound.upper(), options, /*psi_absorbed=*/false);
+    }
+
+    case UntilClass::kTimeReward: {
+      // P2: Phi U^[0,t]_[0,r] Psi on M[!Phi v Psi] (Theorems 4.1 + 4.3).
+      std::vector<bool> absorb(n, false);
+      for (core::StateIndex s = 0; s < n; ++s) absorb[s] = !sat_phi[s] || sat_psi[s];
+      const auto transformed_ptr = absorbing_model(model, absorb, transforms);
+      return bounded_time_reward(*transformed_ptr, sat_psi, dead_mask(sat_phi, sat_psi),
+                                 time_bound.upper(), reward_bound.upper(), options,
+                                 /*psi_absorbed=*/true);
+    }
+  }
+  throw std::logic_error("until: unknown dispatch class");
 }
 
 }  // namespace csrlmrm::checker

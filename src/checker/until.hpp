@@ -86,6 +86,25 @@ struct AutoEngineChoice {
 AutoEngineChoice choose_until_method(const core::Mrm& transformed, double t,
                                      const CheckerOptions& options);
 
+/// The dispatch class of one until query, decided by its bound shapes alone
+/// (so the plan compiler can classify at compile time with the function
+/// until_probabilities switches on).
+enum class UntilClass {
+  kUnbounded,        // P0: linear system on the embedded DTMC
+  kTimeBounded,      // P1: transient analysis of M[!Phi v Psi]
+  kTwoPhase,         // P1': [t1,t2] two-phase reduction via M[!Phi]
+  kTimeReward,       // P2: [0,t] + [0,r] on M[!Phi v Psi]
+  kPointTimeReward,  // [t,t] + [0,r] on M[!Phi && !Psi] (Theorem 4.2)
+  kUnsupported,      // raises UnsupportedFormulaError
+};
+
+/// Stable class name for the plan printer ("P0:unbounded", ...).
+const char* to_string(UntilClass cls);
+
+/// The class until_probabilities dispatches a (time, reward) bound pair to.
+UntilClass classify_until(const logic::Interval& time_bound,
+                          const logic::Interval& reward_bound);
+
 /// P(s, Phi U Psi) for every state s: the unbounded-until probabilities of
 /// eq. (3.8), computed by graph precomputation (states that cannot reach Psi
 /// through Phi get exactly 0) plus a Gauss-Seidel solve on the embedded DTMC.
@@ -94,7 +113,8 @@ std::vector<double> unbounded_until_probabilities(const core::Mrm& model,
                                                   const std::vector<bool>& sat_psi,
                                                   const linalg::IterativeOptions& solver = {});
 
-/// P(s, Phi U_J^I Psi) for every state s, dispatching as described above.
+/// P(s, Phi U_J^I Psi) for every state s, dispatching on classify_until as
+/// described above.
 /// Masks must have one entry per state.
 ///
 /// `transforms`, when non-null, memoizes the absorbing transforms this query

@@ -1,8 +1,8 @@
 // Resident-model registry of mrmcheckd: load a model once, check it many
 // times. Each resident entry pairs the immutable Mrm with the caches that
 // make repeat queries cheap — a per-model TransformCache that stays warm
-// across requests (every plan compiled for the model reuses it via
-// plan::PlanOptions::shared_transforms), identified by a content fingerprint
+// across requests (every plan compiled for the model reuses it through
+// plan::compile's `transforms` parameter), identified by a content fingerprint
 // so the same model loaded under two names (or re-loaded after a daemon-side
 // eviction) deduplicates to one resident copy.
 //

@@ -161,6 +161,9 @@ void DaemonServer::serve_connection(int fd) {
       buffer.erase(0, newline + 1);
       if (line.empty()) continue;
       const std::string reply = handle_line(line);
+      // Stats recorded on this connection thread (model loads, cache hits,
+      // submits) become visible to every client's stats op now, not never.
+      obs::flush_thread();
       std::size_t written = 0;
       while (written < reply.size()) {
         // MSG_NOSIGNAL: a client that hung up (or a stop() racing a shutdown
@@ -176,6 +179,7 @@ void DaemonServer::serve_connection(int fd) {
       }
     }
   }
+  obs::flush_thread();  // a connection that sent no line still counts
   {
     // Deregister before closing so stop() never shutdown()s a recycled fd.
     const std::lock_guard<std::mutex> lock(connections_mutex_);

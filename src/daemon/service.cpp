@@ -7,10 +7,9 @@
 #include <vector>
 
 #include "checker/verdict.hpp"
-#include "logic/parser.hpp"
 #include "logic/printer.hpp"
 #include "obs/stats.hpp"
-#include "plan/executor.hpp"
+#include "plan/batch.hpp"
 
 namespace csrlmrm::daemon {
 
@@ -162,6 +161,7 @@ void CheckService::run() {
       groups[batch_key(pending.request)].push_back(std::move(pending));
     }
     for (auto& [key, group] : groups) serve_group(group);
+    obs::flush_thread();  // publish the dispatcher's counters to stats readers
 
     {
       const std::lock_guard<std::mutex> lock(mutex_);
@@ -216,7 +216,6 @@ void CheckService::serve_group(std::vector<Pending>& group) {
   }
 
   const obs::StatsSnapshot base = obs::StatsRegistry::global().snapshot();
-  std::string batch_error;
 
   // Unique formula texts across the whole group, in first-appearance order:
   // N clients asking the same formula share one root (and the plan compiler
@@ -229,53 +228,22 @@ void CheckService::serve_group(std::vector<Pending>& group) {
     }
   }
 
-  // Per-formula error isolation: a malformed formula fails alone.
-  std::vector<FormulaReply> replies(texts.size());
-  std::vector<logic::FormulaPtr> parsed(texts.size());
-  std::vector<std::size_t> runnable;  // indices into texts with parsed[i] set
+  // Per-formula error isolation (plan/batch.hpp): a malformed formula, or
+  // one that poisons the shared execution, fails alone. The batch-level
+  // error is not swallowed: it is counted and attached to every reply of the
+  // group as batch_error so the isolation rerun is observable.
+  const plan::BatchOutcome outcome =
+      plan::check_batch(*resident->model, texts, options, resident->transforms);
+  if (!outcome.batch_error.empty()) obs::counter_add("daemon.batch_poisoned");
+  std::vector<FormulaReply> replies;
+  replies.reserve(texts.size());
   for (std::size_t i = 0; i < texts.size(); ++i) {
-    try {
-      parsed[i] = logic::parse_formula(texts[i]);
-      runnable.push_back(i);
-    } catch (const std::exception& error) {
-      replies[i] = error_reply(texts[i], error.what());
+    const plan::BatchEntry& entry = outcome.entries[i];
+    if (entry.error.empty()) {
+      replies.push_back(formula_reply(entry.formula, entry.result));
+    } else {
+      replies.push_back(error_reply(texts[i], entry.error));
       obs::counter_add("daemon.formula_errors");
-    }
-  }
-
-  if (!runnable.empty()) {
-    plan::PlanOptions plan_options = options_.plan;
-    plan_options.shared_transforms = resident->transforms;
-    std::vector<logic::FormulaPtr> formulas;
-    formulas.reserve(runnable.size());
-    for (const std::size_t i : runnable) formulas.push_back(parsed[i]);
-    try {
-      const plan::Plan compiled = plan::compile(*resident->model, formulas, options, plan_options);
-      const plan::PlanResult results = plan::execute(compiled, *resident->model);
-      for (std::size_t k = 0; k < runnable.size(); ++k) {
-        replies[runnable[k]] = formula_reply(formulas[k], results.formulas[k]);
-      }
-    } catch (const std::exception& batch_failure) {
-      // One formula poisoned the shared execution (e.g. an unsupported bound
-      // shape surfacing at solve time). Re-run each alone so only the
-      // offender fails; per-formula results are bitwise-identical to the
-      // batched run (plan executions are differential-tested against direct
-      // checks at every batch composition). The batch-level error is not
-      // swallowed: it is counted and attached to every reply of the group as
-      // batch_error so the isolation rerun is observable.
-      obs::counter_add("daemon.batch_poisoned");
-      batch_error = batch_failure.what();
-      for (const std::size_t i : runnable) {
-        try {
-          const plan::Plan single =
-              plan::compile(*resident->model, {parsed[i]}, options, plan_options);
-          const plan::PlanResult result = plan::execute(single, *resident->model);
-          replies[i] = formula_reply(parsed[i], result.formulas[0]);
-        } catch (const std::exception& error) {
-          replies[i] = error_reply(texts[i], error.what());
-          obs::counter_add("daemon.formula_errors");
-        }
-      }
     }
   }
 
@@ -285,7 +253,7 @@ void CheckService::serve_group(std::vector<Pending>& group) {
     CheckReply reply;
     reply.ok = true;
     reply.batch_requests = live.size();
-    reply.batch_error = batch_error;
+    reply.batch_error = outcome.batch_error;
     reply.stats_delta = delta;
     for (const std::string& text : pending.request.formulas) {
       reply.formulas.push_back(replies[text_index[text]]);

@@ -39,7 +39,6 @@
 #include "checker/options.hpp"
 #include "daemon/model_registry.hpp"
 #include "daemon/protocol.hpp"
-#include "plan/compiler.hpp"
 
 namespace csrlmrm::daemon {
 
@@ -48,8 +47,6 @@ struct ServiceOptions {
   std::size_t max_queue = 64;
   /// Base CheckerOptions; per-request overrides apply on top.
   checker::CheckerOptions checker;
-  /// Base plan passes (shared_transforms is set per model internally).
-  plan::PlanOptions plan;
 };
 
 class CheckService {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <map>
+#include <string>
 #include <unordered_map>
 
 #include "lang/parser.hpp"
@@ -43,6 +44,17 @@ long require_integral(double value, const std::string& context) {
     throw SpecError(context + " must be an integer, got " + std::to_string(value));
   }
   return static_cast<long>(rounded);
+}
+
+/// NaN slips past every `< 0` / `> 0` check below (an impulse would be
+/// silently dropped), and an infinite rate or reward has no meaning in an
+/// MRM: reject both, naming the construct ("<what> <index>").
+double require_finite(double value, const char* what, std::size_t index) {
+  if (!std::isfinite(value)) {
+    throw SpecError(std::string(what) + " " + std::to_string(index) + " is not finite (" +
+                    std::to_string(value) + ")");
+  }
+  return value;
 }
 
 struct ValuationHash {
@@ -140,11 +152,13 @@ BuiltModel build_model(const ModelSpec& spec, const BuildOptions& options) {
 
   for (core::StateIndex s = 0; s < built.valuations.size(); ++s) {
     // NB: built.valuations grows inside the loop (BFS worklist).
-    for (const auto& command : spec.commands) {
+    for (std::size_t c = 0; c < spec.commands.size(); ++c) {
+      const auto& command = spec.commands[c];
       const std::vector<long> current = built.valuations[s];  // copy: vector may reallocate
       env.bind(&current);
       if (!evaluate_bool(command.guard, env)) continue;
-      const double rate = evaluate_number(command.rate, env);
+      const double rate =
+          require_finite(evaluate_number(command.rate, env), "rate of command", c + 1);
       if (rate < 0.0) throw SpecError("negative rate in a command");
       if (core::exactly_zero(rate)) continue;
 
@@ -171,7 +185,10 @@ BuiltModel build_model(const ModelSpec& spec, const BuildOptions& options) {
         next[variable_index] = value;
       }
 
-      const double impulse = command.impulse ? evaluate_number(command.impulse, env) : 0.0;
+      const double impulse =
+          command.impulse ? require_finite(evaluate_number(command.impulse, env),
+                                           "impulse reward of command", c + 1)
+                          : 0.0;
       if (impulse < 0.0) throw SpecError("negative impulse reward in a command");
       const core::StateIndex target = intern(next);
       if (impulse > 0.0 && target == s) {
@@ -212,9 +229,11 @@ BuiltModel build_model(const ModelSpec& spec, const BuildOptions& options) {
   std::vector<double> rewards(n, 0.0);
   for (core::StateIndex s = 0; s < n; ++s) {
     env.bind(&built.valuations[s]);
-    for (const auto& clause : spec.state_rewards) {
+    for (std::size_t c = 0; c < spec.state_rewards.size(); ++c) {
+      const auto& clause = spec.state_rewards[c];
       if (evaluate_bool(clause.guard, env)) {
-        const double rate = evaluate_number(clause.rate, env);
+        const double rate = require_finite(evaluate_number(clause.rate, env),
+                                           "state reward of rewards clause", c + 1);
         if (rate < 0.0) throw SpecError("negative state reward");
         rewards[s] += rate;
       }

@@ -37,7 +37,8 @@ struct BuiltModel {
 
 /// Explores and builds. Raises SpecError for: unknown identifiers, type
 /// errors, non-integral variable bounds/updates, updates leaving a
-/// variable's range, negative rates, impulse rewards on self-loops,
+/// variable's range, negative or non-finite (NaN/inf) rates, impulses and
+/// state rewards, impulse rewards on self-loops,
 /// commands assigning the same variable twice, conflicting impulse values
 /// on one transition, or state-space overflow.
 BuiltModel build_model(const ModelSpec& spec, const BuildOptions& options = {});

@@ -111,8 +111,8 @@ class StatsRegistry {
   /// Counters/gauges right now (the calling thread's pending block flushed
   /// first when this is the global registry). Callers that run work on other
   /// threads must ensure those threads flushed (the thread pool does so after
-  /// every chunk; a service worker calls flush_thread() when its request
-  /// ends) or the snapshot under-counts.
+  /// every chunk; a mrmcheckd connection thread after every request line and
+  /// the daemon's dispatcher after every batch) or the snapshot under-counts.
   StatsSnapshot snapshot() const;
 
   /// What happened since `base`: counters subtract (a counter absent from

@@ -19,7 +19,7 @@ unsigned environment_thread_count() {
   if (text == nullptr || *text == '\0') return 0;
   char* end = nullptr;
   const unsigned long value = std::strtoul(text, &end, 10);
-  if (end == text || *end != '\0' || value == 0 || value > 4096) return 0;
+  if (end == text || *end != '\0' || value == 0 || value > kMaxThreads) return 0;
   return static_cast<unsigned>(value);
 }
 

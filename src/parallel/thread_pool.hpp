@@ -20,7 +20,8 @@
 //
 // Thread-count resolution: an options-level `threads` field of 0 means "the
 // process default", which is the CSRLMRM_THREADS environment variable when
-// set to a positive integer, else std::thread::hardware_concurrency().
+// set to an integer in [1, kMaxThreads], else
+// std::thread::hardware_concurrency().
 #pragma once
 
 #include <condition_variable>
@@ -34,6 +35,10 @@
 #include <vector>
 
 namespace csrlmrm::parallel {
+
+/// Largest worker count any thread knob accepts (CSRLMRM_THREADS and the
+/// CLIs' --threads): a typo must not start thousands of OS threads.
+inline constexpr unsigned kMaxThreads = 4096;
 
 /// Process default worker count: set_default_thread_count override if any,
 /// else CSRLMRM_THREADS, else hardware concurrency (at least 1).

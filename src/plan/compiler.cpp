@@ -8,8 +8,6 @@
 #include <utility>
 
 #include "checker/operator_eval.hpp"
-#include "core/approx.hpp"
-#include "core/lumping.hpp"
 #include "core/transform.hpp"
 #include "logic/number_format.hpp"
 #include "obs/stats.hpp"
@@ -18,42 +16,20 @@ namespace csrlmrm::plan {
 
 namespace {
 
-/// Mirrors the dispatch order of checker::until_probabilities exactly; see
-/// the comments there. Classification only looks at the bound shapes, which
-/// the AST fixes at compile time.
-UntilClass classify_until(const logic::Interval& time, const logic::Interval& reward) {
-  const bool time_trivial = time.is_trivial();
-  const bool reward_trivial = reward.is_trivial();
-  if (!reward_trivial &&
-      (!core::exactly_zero(reward.lower()) || reward.is_upper_unbounded())) {
-    return UntilClass::kUnsupported;  // reward bounds must be [0,r]
-  }
-  if (time_trivial && reward_trivial) return UntilClass::kUnbounded;
-  if (reward_trivial && time.lower() > 0.0 && !time.is_upper_unbounded()) {
-    return UntilClass::kTwoPhase;
-  }
-  const bool time_zero_based = core::exactly_zero(time.lower()) && !time.is_upper_unbounded();
-  const bool time_point = time.is_point() && !time.is_upper_unbounded();
-  if (!time_zero_based && !time_point) return UntilClass::kUnsupported;
-  if (reward_trivial) return UntilClass::kTimeBounded;  // time_zero_based holds here
-  if (time_point && time.lower() > 0.0) return UntilClass::kPointTimeReward;
-  return UntilClass::kTimeReward;
-}
-
 /// The primary absorbing transform each until class builds (the two-phase
 /// class additionally builds M[!Phi v Psi] for its residual query, reached
 /// lazily through the shared cache at execution time).
-std::optional<TransformShape> primary_transform(UntilClass cls) {
+std::optional<TransformShape> primary_transform(checker::UntilClass cls) {
   switch (cls) {
-    case UntilClass::kTimeBounded:
-    case UntilClass::kTimeReward:
+    case checker::UntilClass::kTimeBounded:
+    case checker::UntilClass::kTimeReward:
       return TransformShape::kNotPhiOrPsi;
-    case UntilClass::kTwoPhase:
+    case checker::UntilClass::kTwoPhase:
       return TransformShape::kNotPhi;
-    case UntilClass::kPointTimeReward:
+    case checker::UntilClass::kPointTimeReward:
       return TransformShape::kDead;
-    case UntilClass::kUnbounded:
-    case UntilClass::kUnsupported:
+    case checker::UntilClass::kUnbounded:
+    case checker::UntilClass::kUnsupported:
       return std::nullopt;
   }
   return std::nullopt;
@@ -82,8 +58,7 @@ std::vector<bool> transform_mask(TransformShape shape, const checker::SatSets& p
 
 class Lowerer {
  public:
-  Lowerer(const core::Mrm& model, const PlanOptions& plan_options, Plan& plan)
-      : model_(model), plan_options_(plan_options), plan_(plan) {}
+  Lowerer(const core::Mrm& model, Plan& plan) : model_(model), plan_(plan) {}
 
   OpId lower(const logic::FormulaPtr& formula) {
     if (!formula) throw std::invalid_argument("plan::compile: null formula");
@@ -185,24 +160,26 @@ class Lowerer {
   }
 
  private:
-  /// Interns one op under its structural key: with CSE on, an existing op
-  /// with the same key is reused; otherwise a fresh op is appended. `sets`
-  /// is the compile-time satisfaction result when one exists (consts,
-  /// labels, and boolean combinations thereof — never compare ops, so a
-  /// known set always has an empty unknown mask).
+  /// Interns one op under its structural key: an existing op with the same
+  /// key is reused; otherwise a fresh op is appended. `sets` is the
+  /// compile-time satisfaction result when one exists (consts, labels, and
+  /// boolean combinations thereof — never compare ops, so a known set always
+  /// has an empty unknown mask).
   OpId intern(const std::string& key, PlanOp op, std::optional<checker::SatSets> sets) {
-    if (plan_options_.cse) {
-      const auto found = memo_.find(key);
-      if (found != memo_.end()) {
-        ++plan_.cse_hits;
-        return found->second;
-      }
-    }
+    if (const auto found = find(key)) return *found;
     const OpId id = plan_.ops.size();
     plan_.ops.push_back(std::move(op));
     known_.push_back(std::move(sets));
-    if (plan_options_.cse) memo_.emplace(key, id);
+    memo_.emplace(key, id);
     return id;
+  }
+
+  /// The op already interned under `key`, counted as a CSE hit.
+  std::optional<OpId> find(const std::string& key) {
+    const auto found = memo_.find(key);
+    if (found == memo_.end()) return std::nullopt;
+    ++plan_.cse_hits;
+    return found->second;
   }
 
   OpId lower_compare(OpId solve, logic::Comparison cmp, double threshold) {
@@ -226,43 +203,31 @@ class Lowerer {
                             node.reward_bound.to_string() + ")";
     // Probe the memo before running the transform/prediction side effects: a
     // duplicate until solve must not count a second hoist or pin.
-    if (plan_options_.cse) {
-      const auto found = memo_.find(key);
-      if (found != memo_.end()) {
-        ++plan_.cse_hits;
-        return found->second;
-      }
-    }
+    if (const auto found = find(key)) return *found;
     PlanOp op;
     op.kind = OpKind::kUntilSolve;
     op.inputs = {lhs, rhs};
     op.time_bound = node.time_bound;
     op.reward_bound = node.reward_bound;
-    op.until_class = classify_until(node.time_bound, node.reward_bound);
+    op.until_class = checker::classify_until(node.time_bound, node.reward_bound);
 
-    // Pass 3: the hoisted transform op (and cache prewarm when computable).
+    // Pass 2: the hoisted transform op (and cache prewarm when computable).
     const auto shape = primary_transform(op.until_class);
-    if (plan_options_.hoist_transforms && shape) {
-      op.transform = transform_op(*shape, lhs, rhs);
-    }
+    if (shape) op.transform = transform_op(*shape, lhs, rhs);
 
-    // Pass 4: compile-time method annotation for --explain. Only legal when
+    // Pass 3: compile-time method annotation for --explain. Only legal when
     // the operand sets are fully known here (unknown operand states trigger
     // a second optimistic-mask run on a *different* transformed model at
     // execution time, which a single prediction cannot speak for — known
     // sets have empty unknown masks, so the one prediction covers the one
     // run). The executor does not consume it: the checker re-applies the
     // same rule at run time, behind its O(1) guards.
-    const bool reward_class = op.until_class == UntilClass::kTimeReward ||
-                              op.until_class == UntilClass::kPointTimeReward;
-    if (plan_options_.engine_selection && reward_class &&
-        plan_.options.until_method == checker::UntilMethod::kUniformization && known_[lhs] &&
-        known_[rhs]) {
-      const auto absorb = transform_mask(*shape, *known_[lhs], *known_[rhs]);
-      const std::shared_ptr<const core::Mrm> transformed =
-          plan_.transforms
-              ? plan_.transforms->absorbing(model_, absorb)
-              : std::make_shared<const core::Mrm>(core::make_absorbing(model_, absorb));
+    const bool reward_class = op.until_class == checker::UntilClass::kTimeReward ||
+                              op.until_class == checker::UntilClass::kPointTimeReward;
+    if (reward_class && plan_.options.until_method == checker::UntilMethod::kUniformization &&
+        known_[lhs] && known_[rhs]) {
+      const std::shared_ptr<const core::Mrm> transformed = plan_.transforms->absorbing(
+          model_, transform_mask(*shape, *known_[lhs], *known_[rhs]));
       // The run-time rule itself, so plan and direct check cannot disagree.
       op.engine_known = true;
       op.engine_choice =
@@ -299,8 +264,7 @@ class Lowerer {
 
   /// The shared kTransform op for (shape, phi, psi), prewarming the plan's
   /// TransformCache when the masks are compile-time computable. Reuse beyond
-  /// the first reference is a hoisting win (counted even with CSE off — the
-  /// transform memo is what pass 3 IS).
+  /// the first reference is a hoisting win.
   OpId transform_op(TransformShape shape, OpId phi, OpId psi) {
     std::string key = "xform(";
     key += to_string(shape);
@@ -321,7 +285,7 @@ class Lowerer {
     op.transform_shape = shape;
     op.inputs = shape == TransformShape::kNotPhi ? std::vector<OpId>{phi}
                                                  : std::vector<OpId>{phi, psi};
-    if (plan_.transforms && known_[phi] && known_[psi]) {
+    if (known_[phi] && known_[psi]) {
       plan_.transforms->absorbing(model_, transform_mask(shape, *known_[phi], *known_[psi]));
       obs::counter_add("plan.transform_prewarms");
     }
@@ -333,7 +297,6 @@ class Lowerer {
   }
 
   const core::Mrm& model_;
-  const PlanOptions& plan_options_;
   Plan& plan_;
   std::map<std::string, OpId> memo_;
   std::map<std::string, OpId> transform_memo_;
@@ -345,41 +308,18 @@ class Lowerer {
 }  // namespace
 
 Plan compile(const core::Mrm& model, const std::vector<logic::FormulaPtr>& formulas,
-             const checker::CheckerOptions& options, const PlanOptions& plan_options) {
+             const checker::CheckerOptions& options,
+             std::shared_ptr<core::TransformCache> transforms) {
   obs::ScopedTimer timer("plan.compile");
   obs::counter_add("plan.compile.calls");
 
   Plan plan;
   plan.options = options;
   plan.formulas = formulas;
-  plan.original_states = model.num_states();
+  plan.num_states = model.num_states();
+  plan.transforms = transforms ? std::move(transforms) : std::make_shared<core::TransformCache>();
 
-  // Pass 1 (opt-in): lump, and compile everything downstream against the
-  // quotient.
-  const core::Mrm* target = &model;
-  if (plan_options.lumping) {
-    const core::Lumping lumping = core::compute_lumping(model);
-    if (lumping.num_blocks < model.num_states()) {
-      plan.lumped = true;
-      plan.quotient =
-          std::make_shared<const core::Mrm>(core::build_quotient(model, lumping));
-      plan.block_of = lumping.block_of;
-      target = plan.quotient.get();
-      obs::counter_add("plan.lumping.applied");
-    }
-  }
-  plan.num_states = target->num_states();
-
-  if (plan_options.hoist_transforms) {
-    // A lumped plan compiles against the quotient, whose transforms must not
-    // mix with the original model's in a caller-shared cache (the cache keys
-    // by mask alone); reuse only applies to the unlumped path.
-    plan.transforms = (plan_options.shared_transforms && !plan.lumped)
-                          ? plan_options.shared_transforms
-                          : std::make_shared<core::TransformCache>();
-  }
-
-  Lowerer lowerer(*target, plan_options, plan);
+  Lowerer lowerer(model, plan);
   plan.roots.reserve(formulas.size());
   for (const auto& formula : formulas) {
     plan.roots.push_back(lowerer.lower(formula));

@@ -1,22 +1,23 @@
 // The plan compiler: lowers a CSRL formula batch into the plan IR through a
-// fixed pass pipeline.
+// fixed pass pipeline. Every pass always runs; a lone formula is a plan of
+// one.
 //
-//   1. (opt-in) lumping minimization — quotient the model by ordinary MRM
-//      lumpability (core/lumping.hpp) and compile against the quotient;
-//   2. lowering with common-subformula dedup — every structurally equal
+//   1. lowering with common-subformula dedup — every structurally equal
 //      subformula (logic::equal) becomes one op, and numeric solves are
 //      keyed *without* their threshold, so P(>0.1)[phi] and P(>0.5)[phi]
 //      share the entire solve and differ only in their compare op;
-//   3. transform hoisting — the absorbing transforms behind the until
+//   2. transform hoisting — the absorbing transforms behind the until
 //      classes (M[!Phi v Psi], M[!Phi], M[!Phi && !Psi]) become shared
 //      kTransform ops, prewarmed into the plan's TransformCache when the
 //      operand sets are compile-time computable;
-//   4. engine selection — P2-class until ops with compile-time-known
+//   3. method annotation — P2-class until ops with compile-time-known
 //      operands and the uniformization method get the run-time cost model
 //      (checker::choose_until_method) evaluated now, so --explain can
 //      report the method and its inputs.
 //
-// Compilation runs no numeric solves; it is O(batch size + transforms).
+// Each until op's class is checker::classify_until, the function the
+// checker itself dispatches on. Compilation runs no numeric solves; it is
+// O(batch size + transforms).
 #pragma once
 
 #include <memory>
@@ -30,34 +31,17 @@
 
 namespace csrlmrm::plan {
 
-/// Pass toggles. The defaults are what `mrmcheck --formulas` uses; tests
-/// switch passes off individually to pin each one's effect.
-struct PlanOptions {
-  /// Common-subformula dedup across the batch (pass 2). Off: every
-  /// subformula occurrence lowers to its own op.
-  bool cse = true;
-  /// Shared absorbing-transform ops + compile-time prewarming (pass 3).
-  /// Off: the plan carries no TransformCache and every until query rebuilds
-  /// its transforms, like a direct check.
-  bool hoist_transforms = true;
-  /// Lumping minimization (pass 1). Off by default: the quotient preserves
-  /// every CSRL formula but its numerics are not bitwise-identical to the
-  /// original model's.
-  bool lumping = false;
-  /// Compile-time engine resolution for eligible until ops (pass 4).
-  bool engine_selection = true;
-  /// When set (and hoist_transforms is on), the compiled plan uses this
-  /// TransformCache instead of a fresh one, so transforms built by earlier
-  /// compilations of the SAME model stay warm — mrmcheckd binds one cache per
-  /// resident model and passes it here on every request. The cache keys by
-  /// mask alone; the caller owns the cache-per-model discipline.
-  std::shared_ptr<core::TransformCache> shared_transforms;
-};
-
 /// Compiles `formulas` against `model` under `options`. The returned plan
-/// holds shared_ptr state (transforms, quotient) and the input formulas; the
-/// model itself is NOT retained — pass the same model to execute().
+/// holds shared_ptr state (transforms) and the input formulas; the model
+/// itself is NOT retained — pass the same model to execute().
+///
+/// `transforms`, when set, is the TransformCache the plan uses instead of a
+/// fresh one, so transforms built by earlier compilations of the SAME model
+/// stay warm — mrmcheckd binds one cache per resident model and passes it on
+/// every request. The cache keys by mask alone; the caller owns the
+/// cache-per-model discipline.
 Plan compile(const core::Mrm& model, const std::vector<logic::FormulaPtr>& formulas,
-             const checker::CheckerOptions& options, const PlanOptions& plan_options = {});
+             const checker::CheckerOptions& options,
+             std::shared_ptr<core::TransformCache> transforms = nullptr);
 
 }  // namespace csrlmrm::plan

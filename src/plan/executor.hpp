@@ -8,7 +8,7 @@
 //
 //   - each deduplicated solve runs ONCE for every formula referencing it,
 //     and serves both the printed probabilities and the verdicts from that
-//     one run (the direct CLI path solves twice for the same output);
+//     one run (a direct ModelChecker pays two solves for the same output);
 //   - absorbing transforms are served from the plan's prewarmed
 //     TransformCache instead of rebuilt per until query;
 //   - Omega/Poisson setup behind the uniformization engines is shared via
@@ -16,7 +16,8 @@
 //     model reach with identical keys.
 //
 // Execution is serial over ops (each numeric op parallelizes internally over
-// start states, exactly like the direct checker). The TransformCache locks
+// start states, exactly like the direct checker, at the thread count of the
+// plan's CheckerOptions). The TransformCache locks
 // internally, so concurrent executions of plans sharing one cache (the
 // mrmcheckd per-model resident cache) are safe; a single PlanResult is still
 // built by one thread.
@@ -32,19 +33,7 @@
 
 namespace csrlmrm::plan {
 
-struct ExecutionOptions {
-  /// Copy each root's underlying numeric results (probabilities, expected
-  /// rewards, value enclosures) into the FormulaResult. Off skips the
-  /// copies when only verdicts are needed.
-  bool collect_values = true;
-  /// Overrides the plan's CheckerOptions::threads when non-zero (the solves
-  /// are identical at any thread count; this exists so one compiled plan can
-  /// be executed at several counts).
-  unsigned threads = 0;
-};
-
-/// Per-formula results, all sized to the ORIGINAL model's states (lumped
-/// plans expand through block_of before returning).
+/// Per-formula results, one entry per model state.
 struct FormulaResult {
   std::vector<bool> sat;
   std::vector<bool> unknown;
@@ -74,7 +63,6 @@ struct PlanResult {
 /// Executes `plan` against `model` — the same model it was compiled for
 /// (checked by state count). Throws checker::UnsupportedFormulaError for
 /// kUnsupported until ops, exactly like the direct checker would.
-PlanResult execute(const Plan& plan, const core::Mrm& model,
-                   const ExecutionOptions& exec = {});
+PlanResult execute(const Plan& plan, const core::Mrm& model);
 
 }  // namespace csrlmrm::plan

@@ -32,24 +32,6 @@ const char* to_string(OpKind kind) {
   return "?";
 }
 
-const char* to_string(UntilClass cls) {
-  switch (cls) {
-    case UntilClass::kUnbounded:
-      return "P0:unbounded";
-    case UntilClass::kTimeBounded:
-      return "P1:time-bounded";
-    case UntilClass::kTwoPhase:
-      return "P1':two-phase";
-    case UntilClass::kTimeReward:
-      return "P2:time-reward";
-    case UntilClass::kPointTimeReward:
-      return "P2:point-time-reward";
-    case UntilClass::kUnsupported:
-      return "unsupported";
-  }
-  return "?";
-}
-
 const char* to_string(TransformShape shape) {
   switch (shape) {
     case TransformShape::kNotPhiOrPsi:

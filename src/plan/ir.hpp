@@ -61,19 +61,6 @@ enum class OpKind {
 /// Stable lower-case op name for the plan printer ("labelset", "until", ...).
 const char* to_string(OpKind kind);
 
-/// Which dispatch class of checker/until.hpp an until-solve op lands in
-/// (decided at compile time from the bound shapes alone).
-enum class UntilClass {
-  kUnbounded,        // P0: linear system on the embedded DTMC
-  kTimeBounded,      // P1: transient analysis of M[!Phi v Psi]
-  kTwoPhase,         // P1': [t1,t2] two-phase reduction via M[!Phi]
-  kTimeReward,       // P2: [0,t] + [0,r] on M[!Phi v Psi], engine-evaluated
-  kPointTimeReward,  // [t,t] + [0,r] on M[!Phi && !Psi] (Theorem 4.2)
-  kUnsupported,      // raises UnsupportedFormulaError at execution
-};
-
-const char* to_string(UntilClass cls);
-
 /// Shape of a hoisted absorbing transform, relative to an until op's operand
 /// sets (Phi = inputs[0], Psi = inputs[1]).
 enum class TransformShape {
@@ -100,7 +87,7 @@ struct PlanOp {
   logic::Interval time_bound;             // kUntilSolve / kNextSolve
   logic::Interval reward_bound;           // kUntilSolve / kNextSolve
   logic::FormulaPtr reward_node;          // kRewardSolve: the R-operator node
-  UntilClass until_class = UntilClass::kUnbounded;      // kUntilSolve
+  checker::UntilClass until_class = checker::UntilClass::kUnbounded;  // kUntilSolve
   TransformShape transform_shape = TransformShape::kNotPhiOrPsi;  // kTransform
   OpId transform = kNoOp;                 // kUntilSolve: its hoisted transform
 
@@ -132,23 +119,12 @@ struct Plan {
 
   /// Hoisted absorbing transforms, prewarmed at compile time for ops whose
   /// masks were compile-time known and filled lazily during execution for
-  /// the rest. Shared across executions of this plan (not thread-safe: one
-  /// execution at a time). Null when hoisting is disabled.
+  /// the rest. Never null; shared across executions of this plan (the cache
+  /// locks internally).
   std::shared_ptr<core::TransformCache> transforms;
 
-  // --- lumping pass (optional, off by default) ---
-  /// When true the ops run on `quotient` and results are expanded through
-  /// `block_of`. CSRL-preserving by the lumpability criterion of
-  /// core/lumping.hpp, but the quotient's numerics are not bitwise-identical
-  /// to the original model's, so the pass is opt-in.
-  bool lumped = false;
-  std::shared_ptr<const core::Mrm> quotient;
-  std::vector<std::size_t> block_of;  // original state -> quotient state
-
-  /// States the ops run on (quotient size when lumped).
+  /// States of the model the plan was compiled against.
   std::size_t num_states = 0;
-  /// Original model size (== num_states unless lumped).
-  std::size_t original_states = 0;
 
   // --- pass summary (deterministic; pinned by the pass-level tests) ---
   /// Lowering requests answered by an already-interned op (the CSE pass).

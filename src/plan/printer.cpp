@@ -105,11 +105,7 @@ std::string print_plan(const Plan& plan) {
   std::string out;
   append(out, "plan: ", std::to_string(plan.formulas.size()), " formulas, ",
          std::to_string(plan.ops.size()), " ops, states=",
-         std::to_string(plan.num_states));
-  if (plan.lumped) {
-    append(out, " (lumped from ", std::to_string(plan.original_states), ")");
-  }
-  out += "\n";
+         std::to_string(plan.num_states), "\n");
   append(out, "passes: cse_hits=", std::to_string(plan.cse_hits),
          " transforms_hoisted=", std::to_string(plan.transforms_hoisted),
          " engines_pinned=", std::to_string(plan.engines_pinned), "\n");

@@ -22,6 +22,7 @@
 #include "models/cellphone.hpp"
 #include "models/mm1k.hpp"
 #include "models/tmr.hpp"
+#include "obs/stats.hpp"
 #include "plan/compiler.hpp"
 #include "plan/executor.hpp"
 
@@ -547,6 +548,45 @@ TEST(DaemonServer, SocketRoundTripLoadCheckStatsShutdown) {
   server.wait_for_shutdown();
   server.stop();
   EXPECT_FALSE(std::filesystem::exists(socket_path));
+}
+
+// Stats recorded on one connection's thread reach every other client: the
+// model load happens on connection A's thread, and connection B's stats op
+// (served on B's thread) must report it after A disconnects.
+TEST(DaemonServer, ConnectionStatsReachOtherClients) {
+  const std::string socket_path =
+      (std::filesystem::temp_directory_path() /
+       (std::string("mrmcheckd_flush_") + std::to_string(::getpid()) + ".sock"))
+          .string();
+  obs::set_stats_enabled(true);
+  obs::StatsRegistry::global().reset();
+  daemon::ServerOptions options;
+  options.socket_path = socket_path;
+  daemon::DaemonServer server(options);
+  server.start();
+
+  const std::string models = CSRLMRM_EXAMPLE_MODELS_DIR;
+  {
+    daemon::Client a(socket_path);
+    obs::JsonValue load = obs::JsonValue::object();
+    load.set("op", obs::JsonValue(std::string("load")));
+    load.set("spec", obs::JsonValue(models + "/tmr.spec"));
+    ASSERT_TRUE(a.roundtrip(load).at("ok").as_bool());
+  }
+  double loads = -1.0;
+  {
+    daemon::Client b(socket_path);
+    obs::JsonValue stats = obs::JsonValue::object();
+    stats.set("op", obs::JsonValue(std::string("stats")));
+    const obs::JsonValue reply = b.roundtrip(stats);
+    ASSERT_TRUE(reply.at("ok").as_bool());
+    const obs::JsonValue* counter = reply.at("stats").at("counters").find("daemon.model_loads");
+    if (counter != nullptr) loads = counter->as_number();
+  }
+  server.stop();
+  obs::StatsRegistry::global().reset();
+  obs::set_stats_enabled(false);
+  EXPECT_EQ(loads, 1.0);
 }
 
 }  // namespace

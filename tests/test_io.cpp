@@ -261,6 +261,82 @@ TEST_F(MrmcheckCli, RejectsMalformedThreadCount) {
   EXPECT_EQ(run(model_args_ + " --threads 'TT'"), 2);  // value swallowed the formula
 }
 
+// --threads is parsed strictly and capped at parallel::kMaxThreads: every
+// bad value exits 2 with a named diagnostic during argument parsing, before
+// the model loads (the model path here does not even exist) and before any
+// thread starts.
+TEST_F(MrmcheckCli, ThreadCountIsStrictAndCapped) {
+  const std::string absent = "'" + (directory_ / "absent.spec").string() + "'";
+  for (const char* bad : {"5000", "4097", "-1", "+4", "4x", "0x10", " 4", "4294967297"}) {
+    std::string error;
+    EXPECT_EQ(run(absent + " --threads '" + bad + "' 'TT'", &error), 2) << bad;
+    EXPECT_NE(error.find("--threads expects an integer in [1, 4096]"), std::string::npos)
+        << bad << ": " << error;
+  }
+  // The cap itself is accepted: the run gets past parsing and fails on the
+  // missing model instead (exit 1).
+  EXPECT_EQ(run(absent + " --threads=4096 'TT'"), 1);
+}
+
+/// Runs `binary` with `arguments` and returns its stdout.
+std::string capture_stdout(const char* binary, const std::string& arguments) {
+  const std::string command = std::string("'") + binary + "' " + arguments + " 2>/dev/null";
+  std::string output;
+  FILE* pipe = ::popen(command.c_str(), "r");
+  if (pipe == nullptr) return output;
+  char buffer[4096];
+  std::size_t got = 0;
+  while ((got = std::fread(buffer, 1, sizeof(buffer), pipe)) > 0) output.append(buffer, got);
+  ::pclose(pipe);
+  return output;
+}
+
+// A positional formula is a batch of one: one compiled plan, one until
+// solve serving both the printed probabilities and the verdicts.
+TEST_F(MrmcheckCli, PositionalFormulaSolvesOnce) {
+  const std::string stats_file = (directory_ / "once.json").string();
+  ASSERT_EQ(run(model_args_ + " --stats='" + stats_file +
+                "' 'P(>0.1)[Sup U[0,200][0,3000] failed]'"),
+            0);
+  std::ifstream in(stats_file);
+  ASSERT_TRUE(in.is_open());
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const obs::JsonValue stats = obs::parse_json(buffer.str());
+  const obs::JsonValue& counters = stats.at("counters");
+  EXPECT_EQ(counters.at("checker.until.calls").as_number(), 1.0);
+  EXPECT_EQ(counters.at("classdp.calls").as_number(), 1.0);
+  EXPECT_EQ(counters.at("plan.compile.calls").as_number(), 1.0);
+  EXPECT_EQ(counters.at("plan.execute.calls").as_number(), 1.0);
+}
+
+// The positional output is the one-line --formulas output minus the "[1/1] "
+// slot prefix, for every operator kind and with or without NP.
+TEST_F(MrmcheckCli, PositionalOutputEqualsBatchOfOne) {
+  const std::filesystem::path batch_file = directory_ / "one.csrl";
+  for (const char* formula :
+       {"P(>0.1)[Sup U[0,100][0,3000] failed]", "P(>0.9)[Sup U failed]",
+        "P(>0.1)[Sup U[10,100] failed]", "P(>0.5)[X[0,10] failed]", "S(<0.9) allUp",
+        "R(<=25)[C[0,10]]", "!(Sup && P(>0.1)[Sup U[0,100] failed])"}) {
+    for (const char* np : {"", " NP"}) {
+      SCOPED_TRACE(std::string(formula) + np);
+      {
+        std::ofstream out(batch_file);
+        out << formula << "\n";
+      }
+      const std::string positional =
+          capture_stdout(MRMCHECK_BINARY, model_args_ + np + " '" + formula + "'");
+      std::string batched = capture_stdout(
+          MRMCHECK_BINARY, model_args_ + np + " --formulas='" + batch_file.string() + "'");
+      const std::size_t prefix = batched.find("[1/1] ");
+      ASSERT_NE(prefix, std::string::npos) << batched;
+      batched.erase(prefix, 6);
+      EXPECT_NE(positional.find("formula: "), std::string::npos) << positional;
+      EXPECT_EQ(positional, batched);
+    }
+  }
+}
+
 TEST_F(MrmcheckCli, RejectsSecondFormulaArgument) {
   EXPECT_EQ(run(model_args_ + " 'TT' 'FF'"), 2);
 }
@@ -319,6 +395,42 @@ TEST_F(MrmcheckCli, ClientRejectsUnknownOptionsBeforeConnecting) {
   EXPECT_EQ(run_binary(MRMCHECKC_BINARY, socket + " check m --max-nodes=-5 'TT'"), 2);
   // A well-formed request does try to connect, and fails on the socket.
   EXPECT_EQ(run_binary(MRMCHECKC_BINARY, socket + " check m --max-nodes=5 'TT'"), 1);
+}
+#endif
+
+#if defined(MRMCHECKD_BINARY)
+// The daemon parses --threads against the same cap, and its count flags
+// reject signs and out-of-range values instead of wrapping or truncating
+// them. Every bad value exits 2 during argument parsing, before the server
+// starts. The socket path is too long to bind, so a daemon that wrongly got
+// past parsing exits 1 at startup instead of listening forever.
+TEST_F(MrmcheckCli, DaemonCountFlagsAreStrict) {
+  const std::string socket =
+      "--socket='" + (directory_ / (std::string(120, 's') + ".sock")).string() + "'";
+  const struct {
+    const char* argument;
+    const char* flag;
+  } cases[] = {
+      {"--threads 5000", "--threads"},
+      {"--threads=4294967297", "--threads"},
+      {"--threads=-1", "--threads"},
+      {"--max-queue=-5", "--max-queue="},
+      {"--max-queue=+5", "--max-queue="},
+      {"--max-queue=0", "--max-queue="},
+      {"--max-queue=99999999999999999999999", "--max-queue="},
+      {"--models=-5", "--models="},
+      {"--models=3x", "--models="},
+  };
+  for (const auto& bad : cases) {
+    std::string error;
+    EXPECT_EQ(run_binary(MRMCHECKD_BINARY, socket + " " + bad.argument, &error), 2)
+        << bad.argument;
+    EXPECT_NE(error.find(std::string(bad.flag) + " expects an integer in [1, "),
+              std::string::npos)
+        << bad.argument << ": " << error;
+  }
+  // A valid value gets past parsing and fails on the unbindable socket.
+  EXPECT_EQ(run_binary(MRMCHECKD_BINARY, socket + " --threads=4096 --models=3"), 1);
 }
 #endif
 

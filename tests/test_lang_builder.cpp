@@ -187,6 +187,36 @@ TEST(LangBuilder, ErrorsAreDiagnosed) {
                SpecError);
 }
 
+// NaN passes every sign check (`x < 0.0` is false for NaN) and a NaN impulse
+// would then be dropped as "not positive"; an infinite rate or reward has no
+// meaning in an MRM. Each of the three positions rejects both, naming the
+// construct.
+TEST(LangBuilder, NonFiniteNumbersAreRejected) {
+  const auto expect_rejected = [](const std::string& text, const std::string& named) {
+    try {
+      build_model_from_text(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const SpecError& error) {
+      EXPECT_NE(std::string(error.what()).find(named), std::string::npos) << error.what();
+      EXPECT_NE(std::string(error.what()).find("not finite"), std::string::npos)
+          << error.what();
+    }
+  };
+  for (const std::string value : {"(1e308 * 10 * z)", "(1e308 * 10)", "(0 - 1e308 * 10)"}) {
+    SCOPED_TRACE(value);
+    const std::string prelude = "const double z = 0.0;\nmodule m\n  x : [0 .. 1];\n";
+    expect_rejected(prelude + "  [] x = 0 -> 1.0 : (x' = 1);\n  [] x = 1 -> " + value +
+                        " : (x' = 0);\nendmodule\n",
+                    "rate of command 2");
+    expect_rejected(prelude + "  [] x = 0 -> 1.0 : (x' = 1) impulse " + value +
+                        ";\nendmodule\n",
+                    "impulse reward of command 1");
+    expect_rejected(prelude + "  [] x = 0 -> 1.0 : (x' = 1);\nendmodule\nrewards\n  x = 0 : 1;\n"
+                              "  x = 1 : " + value + ";\nendrewards\n",
+                    "state reward of rewards clause 2");
+  }
+}
+
 TEST(LangBuilder, StateSpaceLimitIsEnforced) {
   BuildOptions options;
   options.max_states = 10;

@@ -3,8 +3,9 @@
 // direct ModelChecker's verdicts, value enclosures, and path probabilities
 // BITWISE — both front ends call the same checker/operator_eval.hpp
 // functions, and this suite is the proof that the plan passes (CSE, transform
-// hoisting, engine pinning) never change a single bit of output. Exercised at
-// 1/2/8 worker threads (plan and direct always compared at the SAME count).
+// hoisting, method annotation) never change a single bit of output.
+// Exercised at 1/2/8 worker threads: the plan is compiled at each count and
+// compared against the direct checker at the SAME count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -49,22 +50,17 @@ TEST_P(PlanDifferentialSuite, BatchMatchesDirectCheckerBitwiseAtEveryThreadCount
   const core::Mrm model = models::make_random_mrm(seed * 11 + 2, calm_model());
   const std::vector<logic::FormulaPtr> batch = make_batch(seed);
 
-  checker::CheckerOptions options;
-  options.uniformization.truncation_probability = 1e-9;
-  const plan::Plan compiled = plan::compile(model, batch, options);
-
   for (const unsigned threads : {1u, 2u, 8u}) {
-    plan::ExecutionOptions exec;
-    exec.threads = threads;
-    const plan::PlanResult planned = plan::execute(compiled, model, exec);
+    checker::CheckerOptions options;
+    options.uniformization.truncation_probability = 1e-9;
+    options.threads = threads;
+    const plan::PlanResult planned = plan::execute(plan::compile(model, batch, options), model);
 
-    checker::CheckerOptions direct_options = options;
-    direct_options.threads = threads;
     for (std::size_t i = 0; i < batch.size(); ++i) {
       SCOPED_TRACE("threads=" + std::to_string(threads) + " formula[" + std::to_string(i) +
                    "]=" + logic::to_string(batch[i]));
       // A fresh checker per formula, like the single-formula CLI lane.
-      checker::ModelChecker direct(model, direct_options);
+      checker::ModelChecker direct(model, options);
       const auto verdicts = direct.verdicts(batch[i]);
       ASSERT_EQ(verdicts.size(), planned.formulas[i].verdicts.size());
       for (std::size_t s = 0; s < verdicts.size(); ++s) {
@@ -95,34 +91,6 @@ TEST_P(PlanDifferentialSuite, BatchMatchesDirectCheckerBitwiseAtEveryThreadCount
           expect_bitwise_equal(values[s].bound, planned_value.bound, s);
         }
       }
-    }
-  }
-}
-
-TEST_P(PlanDifferentialSuite, PassesOffStillMatchesDirectChecker) {
-  // Every pass disabled: the naive one-op-per-occurrence plan must also be
-  // bitwise-faithful (isolates the shared operator_eval layer from the
-  // passes; a mismatch HERE would point at lowering itself).
-  const std::uint32_t seed = GetParam();
-  if (seed % 10 != 3) GTEST_SKIP() << "pass-off lane sampled at 1 in 10 seeds";
-  const core::Mrm model = models::make_random_mrm(seed * 11 + 2, calm_model());
-  const std::vector<logic::FormulaPtr> batch = make_batch(seed);
-
-  checker::CheckerOptions options;
-  options.uniformization.truncation_probability = 1e-9;
-  plan::PlanOptions passes_off;
-  passes_off.cse = false;
-  passes_off.hoist_transforms = false;
-  passes_off.engine_selection = false;
-  const plan::Plan compiled = plan::compile(model, batch, options, passes_off);
-  const plan::PlanResult planned = plan::execute(compiled, model);
-
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    SCOPED_TRACE(logic::to_string(batch[i]));
-    checker::ModelChecker direct(model, options);
-    const auto verdicts = direct.verdicts(batch[i]);
-    for (std::size_t s = 0; s < verdicts.size(); ++s) {
-      EXPECT_EQ(verdicts[s], planned.formulas[i].verdicts[s]) << "state " << s;
     }
   }
 }

@@ -10,11 +10,11 @@
 
 #include "checker/sat.hpp"
 #include "logic/parser.hpp"
-#include "models/explicit_nmr.hpp"
 #include "models/random_mrm.hpp"
 #include "models/tmr.hpp"
 #include "numeric/conditional.hpp"
 #include "obs/stats.hpp"
+#include "plan/batch.hpp"
 #include "plan/compiler.hpp"
 #include "plan/executor.hpp"
 
@@ -83,31 +83,6 @@ TEST_F(PlanPasses, CseDedupCountsPinnedOnTmrBatch) {
     if (op.kind == plan::OpKind::kUntilSolve && op.uses == 2) ++shared_solves;
   }
   EXPECT_EQ(shared_solves, 1u);
-}
-
-TEST_F(PlanPasses, CseOffLowersEveryOccurrenceSeparately) {
-  const core::Mrm model = models::make_tmr();
-  const auto batch = parse_batch({"P(>0.1)[Sup U[0,100][0,3000] failed]",
-                                  "P(>0.5)[Sup U[0,100][0,3000] failed]",
-                                  "P(>0.1)[Sup U[0,100] failed]"});
-  checker::CheckerOptions options;
-  plan::PlanOptions no_cse;
-  no_cse.cse = false;
-  const plan::Plan compiled = plan::compile(model, batch, options, no_cse);
-  EXPECT_EQ(compiled.cse_hits, 0u);
-  EXPECT_EQ(obs::StatsRegistry::global().counter("plan.cse.hits"), 0u);
-  // More ops than the deduplicated plan, and no solve is shared — the two
-  // identical time-reward untils each run their own solve. (Label-set ops
-  // legitimately reach uses=2 even here: each feeds its until op and that
-  // until's transform op. Transform sharing is the hoisting pass's toggle,
-  // not CSE's.)
-  const plan::Plan with_cse = plan::compile(model, batch, options);
-  EXPECT_GT(compiled.ops.size(), with_cse.ops.size());
-  for (const auto& op : compiled.ops) {
-    if (op.kind == plan::OpKind::kUntilSolve) {
-      EXPECT_LE(op.uses, 1u);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -259,40 +234,50 @@ TEST_F(PlanPasses, PlanExecutionCountsTheAutoChoice) {
 }
 
 // ---------------------------------------------------------------------------
-// Lumping pass
+// The batch policy (plan/batch.hpp)
 // ---------------------------------------------------------------------------
 
-// The explicit-state NMR collapses from 2^(N+1) states to the N+2 counter
-// abstraction; the lumped plan's verdicts must equal the direct checker's on
-// the full model (verdict-level, not bitwise — the quotient's numerics
-// differ in the last ulps, which is exactly why the pass is opt-in).
-TEST_F(PlanPasses, LumpingQuotientPreservesVerdicts) {
-  models::TmrConfig config;
-  config.num_modules = 4;
-  config.variable_failure_rate = true;
-  const core::Mrm model = models::make_explicit_nmr(config);
-  const auto batch = parse_batch({"S(>0.5) Sup", "P(>0.1)[Sup U[0,10][0,200] failed]",
-                                  "R(>=1)[C[0,10]]"});
+// An unsupported bound shape poisons the shared execution: every formula
+// re-runs as a plan of one, only the offender fails, and the survivors'
+// answers are bitwise those of a plan of one. A malformed text fails at
+// parse time and never reaches a plan.
+TEST_F(PlanPasses, PoisonedBatchFailsOnlyTheOffender) {
+  const core::Mrm model = models::make_tmr();
   checker::CheckerOptions options;
-  plan::PlanOptions with_lumping;
-  with_lumping.lumping = true;
-  const plan::Plan compiled = plan::compile(model, batch, options, with_lumping);
-  ASSERT_TRUE(compiled.lumped);
-  EXPECT_EQ(compiled.num_states, config.num_modules + 2u);
-  EXPECT_EQ(compiled.original_states, model.num_states());
-  ASSERT_EQ(compiled.block_of.size(), model.num_states());
-  EXPECT_EQ(obs::StatsRegistry::global().counter("plan.lumping.applied"), 1u);
+  const std::string good = "P(>0.1)[Sup U[0,100][0,3000] failed]";
+  const plan::BatchOutcome outcome = plan::check_batch(
+      model, {good, "P(>0.1)[Sup U[0,100][5,3000] failed]", "P(>0.1)[Sup U["}, options);
+  ASSERT_EQ(outcome.entries.size(), 3u);
+  EXPECT_NE(outcome.batch_error.find("reward bounds"), std::string::npos)
+      << outcome.batch_error;
+  EXPECT_TRUE(outcome.entries[0].error.empty()) << outcome.entries[0].error;
+  EXPECT_EQ(outcome.entries[1].error, outcome.batch_error);
+  EXPECT_EQ(outcome.entries[2].formula, nullptr);
+  EXPECT_FALSE(outcome.entries[2].error.empty());
 
-  const plan::PlanResult planned = plan::execute(compiled, model);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    SCOPED_TRACE("formula " + std::to_string(i));
-    checker::ModelChecker direct(model, options);
-    const auto verdicts = direct.verdicts(batch[i]);
-    ASSERT_EQ(planned.formulas[i].verdicts.size(), verdicts.size());
-    for (std::size_t s = 0; s < verdicts.size(); ++s) {
-      EXPECT_EQ(verdicts[s], planned.formulas[i].verdicts[s]) << "state " << s;
-    }
+  const plan::PlanResult alone =
+      plan::execute(plan::compile(model, parse_batch({good}), options), model);
+  const plan::FormulaResult& batched = outcome.entries[0].result;
+  ASSERT_TRUE(batched.has_probabilities);
+  ASSERT_EQ(batched.probabilities.size(), alone.formulas[0].probabilities.size());
+  for (std::size_t s = 0; s < batched.probabilities.size(); ++s) {
+    EXPECT_EQ(batched.probabilities[s].probability,
+              alone.formulas[0].probabilities[s].probability);
+    EXPECT_EQ(batched.bounds[s].lower, alone.formulas[0].bounds[s].lower);
+    EXPECT_EQ(batched.bounds[s].upper, alone.formulas[0].bounds[s].upper);
   }
+  EXPECT_EQ(batched.verdicts, alone.formulas[0].verdicts);
+}
+
+// A poisoned plan of one already is the formula's own run: no re-run.
+TEST_F(PlanPasses, PoisonedSingletonBatchIsNotRerun) {
+  const core::Mrm model = models::make_tmr();
+  const plan::BatchOutcome outcome = plan::check_batch(
+      model, {"P(>0.1)[Sup U[0,100][5,3000] failed]"}, checker::CheckerOptions{});
+  ASSERT_EQ(outcome.entries.size(), 1u);
+  EXPECT_FALSE(outcome.batch_error.empty());
+  EXPECT_EQ(outcome.entries[0].error, outcome.batch_error);
+  EXPECT_EQ(obs::StatsRegistry::global().counter("plan.compile.calls"), 1u);
 }
 
 }  // namespace
