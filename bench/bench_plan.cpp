@@ -4,16 +4,13 @@
 // Workload: the Table 5.4 formula family P(>0.1)[Sup U[0,t][0,3000] failed]
 // on the TMR model, one formula per t = 50..500 step 50. Two lanes:
 //
-//   singleton — each formula checked like a separate mrmcheck run: fresh
-//     ModelChecker, numeric::SharedOmegaCache cleared first (a new process
-//     has no warm cache), and both the per-state probabilities and the
-//     verdicts requested — which costs the direct front end two until
-//     solves per formula (path_probabilities and the verdict bounds are
-//     separate cache entries);
-//   batch — every formula through ONE compiled plan: the solve runs once
-//     per formula and serves probabilities and verdicts both, transforms
-//     are hoisted into the shared cache, and the Omega cache stays warm
-//     across the batch.
+//   singleton — each formula checked like a separate positional mrmcheck
+//     run: a plan of one (its own transform cache), compiled and executed
+//     with numeric::SharedOmegaCache cleared first (a new process has no
+//     warm cache); one until solve serves its probabilities and verdicts;
+//   batch — every formula through ONE compiled plan: transforms are hoisted
+//     into one shared cache and the Omega cache stays warm across the
+//     batch.
 //
 // Verdicts and probabilities must agree BITWISE between the lanes (checked
 // here; "bitwise_identical" lands in the JSON) — the speedup buys identical
@@ -27,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "checker/sat.hpp"
 #include "logic/parser.hpp"
 #include "models/tmr.hpp"
 #include "numeric/conditional.hpp"
@@ -113,9 +109,10 @@ int main(int argc, char** argv) {
   const double singleton_ms = best_of([&] {
     for (std::size_t i = 0; i < n_formulas; ++i) {
       numeric::SharedOmegaCache::global().clear();  // emulate a new process
-      checker::ModelChecker direct(model, options);
-      singleton_results[i].probabilities = direct.path_probabilities(batch[i]);
-      singleton_results[i].verdicts = direct.verdicts(batch[i]);
+      const plan::PlanResult result =
+          plan::execute(plan::compile(model, {batch[i]}, options), model);
+      singleton_results[i].probabilities = result.formulas[0].probabilities;
+      singleton_results[i].verdicts = result.formulas[0].verdicts;
     }
   });
 

@@ -4,9 +4,10 @@
 #include <cstdio>
 #include <sstream>
 
-#include "checker/sat.hpp"
 #include "logic/parser.hpp"
 #include "numeric/discretization.hpp"
+#include "plan/compiler.hpp"
+#include "plan/executor.hpp"
 
 namespace csrlmrm::benchsupport {
 
@@ -19,9 +20,10 @@ double elapsed_seconds(std::chrono::steady_clock::time_point start) {
 UntilExperiment::Prepared UntilExperiment::prepare(const core::Mrm& model,
                                                    const std::string& phi,
                                                    const std::string& psi) {
-  checker::ModelChecker checker(model);
-  const std::vector<bool> sat_phi = checker.satisfaction_set(logic::parse_formula(phi));
-  const std::vector<bool> sat_psi = checker.satisfaction_set(logic::parse_formula(psi));
+  const plan::PlanResult operands = plan::execute(
+      plan::compile(model, {logic::parse_formula(phi), logic::parse_formula(psi)}, {}), model);
+  const std::vector<bool>& sat_phi = operands.formulas[0].sat;
+  std::vector<bool> sat_psi = operands.formulas[1].sat;
 
   std::vector<bool> absorb(model.num_states());
   std::vector<bool> dead(model.num_states());
@@ -29,7 +31,7 @@ UntilExperiment::Prepared UntilExperiment::prepare(const core::Mrm& model,
     absorb[s] = !sat_phi[s] || sat_psi[s];
     dead[s] = !sat_phi[s] && !sat_psi[s];
   }
-  return {core::make_absorbing(model, absorb), sat_psi, std::move(dead)};
+  return {core::make_absorbing(model, absorb), std::move(sat_psi), std::move(dead)};
 }
 
 UntilExperiment::UntilExperiment(Prepared prepared)

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <string>
 
+#include "cli_numbers.hpp"
 #include "io/model_files.hpp"
 #include "models/generator.hpp"
 
@@ -35,6 +36,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
+    const cli::NumberFlags numbers("large_models");
     const std::string spec = argv[1];
     std::string save_prefix;
     models::ExploreOptions explore_options;
@@ -42,7 +44,9 @@ int main(int argc, char** argv) {
       if (std::strcmp(argv[arg], "--save") == 0 && arg + 1 < argc) {
         save_prefix = argv[++arg];
       } else if (std::strcmp(argv[arg], "--max-states") == 0 && arg + 1 < argc) {
-        explore_options.max_states = static_cast<std::size_t>(std::stoull(argv[++arg]));
+        if (!numbers.positive_count("--max-states", argv[++arg], explore_options.max_states)) {
+          return 2;
+        }
       } else {
         std::fprintf(stderr, "large_models: unknown argument '%s'\n", argv[arg]);
         usage();

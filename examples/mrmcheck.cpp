@@ -10,7 +10,6 @@
 // and prints the satisfying states (and, unless NP is given, the computed
 // per-state probabilities for the outermost S/P/R operator). Defaults to
 // uniformization with w = 1e-8, exactly like the original tool.
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -19,6 +18,7 @@
 #include <vector>
 
 #include "checker/verdict.hpp"
+#include "cli_numbers.hpp"
 #include "io/model_files.hpp"
 #include "models/generator.hpp"
 #include "lang/builder.hpp"
@@ -93,45 +93,6 @@ void usage() {
 bool ends_with(const std::string& text, const char* suffix) {
   const std::string s(suffix);
   return text.size() >= s.size() && text.compare(text.size() - s.size(), s.size(), s) == 0;
-}
-
-/// Parses the value of u= / d= strictly: the whole token must be a finite,
-/// positive double. Returns false (with a diagnostic) otherwise, so
-/// `u=1e-8x` or `d=` fail loudly instead of being half-parsed by stod.
-bool parse_positive_double(const std::string& text, const char* flag, double& out) {
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(text, &consumed);
-    if (consumed != text.size() || !(value > 0.0) || !std::isfinite(value)) {
-      throw std::invalid_argument(text);
-    }
-    out = value;
-    return true;
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrmcheck: %s expects a positive number, got '%s'\n", flag,
-                 text.c_str());
-    return false;
-  }
-}
-
-/// Parses a count flag's value strictly: decimal digits only (no sign, no
-/// whitespace, no suffix) and in [1, max] — so `12abc`, `-5` or a thread
-/// count past parallel::kMaxThreads fail loudly instead of being half-parsed,
-/// wrapped by stoull or obeyed.
-bool parse_count(const std::string& text, const char* flag, unsigned long long max,
-                 unsigned long long& out) {
-  try {
-    if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos) {
-      throw std::invalid_argument(text);
-    }
-    out = std::stoull(text);  // throws past the range
-    if (out == 0 || out > max) throw std::invalid_argument(text);
-    return true;
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrmcheck: %s expects an integer in [1, %llu], got '%s'\n", flag, max,
-                 text.c_str());
-    return false;
-  }
 }
 
 csrlmrm::core::Mrm load_spec_model(const std::string& path) {
@@ -231,6 +192,7 @@ int main(int argc, char** argv) {
   }
 
   try {
+    const cli::NumberFlags numbers("mrmcheck");
     checker::CheckerOptions options;
     bool print_probabilities = true;
     bool strict = false;
@@ -250,13 +212,13 @@ int main(int argc, char** argv) {
         }
       } else if (token.rfind("u=", 0) == 0) {
         options.until_method = checker::UntilMethod::kUniformization;
-        if (!parse_positive_double(token.substr(2), "u=",
-                                   options.uniformization.truncation_probability)) {
+        if (!numbers.positive_number("u=", token.substr(2),
+                                     options.uniformization.truncation_probability)) {
           return 2;
         }
       } else if (token.rfind("d=", 0) == 0) {
         options.until_method = checker::UntilMethod::kDiscretization;
-        if (!parse_positive_double(token.substr(2), "d=", options.discretization.step)) {
+        if (!numbers.positive_number("d=", token.substr(2), options.discretization.step)) {
           return 2;
         }
       } else if (token == "--threads" || token.rfind("--threads=", 0) == 0) {
@@ -270,8 +232,8 @@ int main(int argc, char** argv) {
         } else {
           value = token.substr(10);
         }
-        unsigned long long threads = 0;
-        if (!parse_count(value, "--threads", parallel::kMaxThreads, threads)) return 2;
+        std::size_t threads = 0;
+        if (!numbers.count("--threads", value, parallel::kMaxThreads, threads)) return 2;
         options.threads = static_cast<unsigned>(threads);
         parallel::set_default_thread_count(options.threads);
       } else if (token == "--stats" || token.rfind("--stats=", 0) == 0) {
@@ -286,8 +248,8 @@ int main(int argc, char** argv) {
       } else if (token == "--steady-detect" || token.rfind("--steady-detect=", 0) == 0) {
         options.transient.detect_steady_state = true;
         if (token.rfind("--steady-detect=", 0) == 0 &&
-            !parse_positive_double(token.substr(16), "--steady-detect=",
-                                   options.transient.steady_epsilon)) {
+            !numbers.positive_number("--steady-detect=", token.substr(16),
+                                     options.transient.steady_epsilon)) {
           return 2;
         }
       } else if (token == "--strict") {
@@ -316,12 +278,11 @@ int main(int argc, char** argv) {
           return 2;
         }
       } else if (token.rfind("--max-nodes=", 0) == 0) {
-        unsigned long long nodes = 0;
-        if (!parse_count(token.substr(12), "--max-nodes=", std::numeric_limits<std::size_t>::max(),
-                         nodes)) {
+        if (!numbers.count("--max-nodes=", token.substr(12),
+                           std::numeric_limits<std::size_t>::max(),
+                           options.uniformization.max_nodes)) {
           return 2;
         }
-        options.uniformization.max_nodes = static_cast<std::size_t>(nodes);
       } else if (token.rfind("--", 0) == 0) {
         std::fprintf(stderr, "mrmcheck: unknown option '%s'\n", token.c_str());
         usage();

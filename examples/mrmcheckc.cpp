@@ -13,13 +13,14 @@
 // formula's verdict string ('Y'/'N'/'?' per state, 1-based) and numeric
 // values, mirroring mrmcheck's output. Exit codes: 0 ok, 1 daemon-side or
 // connection error, 2 usage (checked before connecting: an unknown `--`
-// option or a malformed --max-nodes= never reaches the daemon), 4 batch
-// completed but some formulas failed.
+// option or a malformed w=, --max-nodes= or --deadline-ms= never reaches
+// the daemon), 4 batch completed but some formulas failed.
 #include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cli_numbers.hpp"
 #include "daemon/client.hpp"
 #include "daemon/protocol.hpp"
 #include "obs/json.hpp"
@@ -43,40 +44,26 @@ bool ends_with(const std::string& text, const char* suffix) {
   return text.size() >= s.size() && text.compare(text.size() - s.size(), s.size(), s) == 0;
 }
 
-/// Parses the value of --max-nodes= strictly: decimal digits only (no sign,
-/// no whitespace, no suffix) and positive — so `12abc` and `-5` fail loudly
-/// instead of being half-parsed or wrapped by stoull.
-bool parse_node_budget(const std::string& text, std::size_t& out) {
-  try {
-    if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos) {
-      throw std::invalid_argument(text);
-    }
-    const unsigned long long nodes = std::stoull(text);  // throws past the range
-    if (nodes == 0) throw std::invalid_argument(text);
-    out = static_cast<std::size_t>(nodes);
-    return true;
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrmcheckc: --max-nodes= expects a positive integer, got '%s'\n",
-                 text.c_str());
-    return false;
-  }
-}
-
 /// Parses the arguments of `check` (the op and everything after it) into a
 /// request. Returns false on a usage error.
 bool parse_check(const std::vector<std::string>& args, csrlmrm::daemon::CheckRequest& check) {
   if (args.size() < 3) return false;
+  const csrlmrm::cli::NumberFlags numbers("mrmcheckc");
   check.model = args[1];
   for (std::size_t i = 2; i < args.size(); ++i) {
     const std::string& token = args[i];
     if (token.rfind("w=", 0) == 0) {
-      check.options.w = std::stod(token.substr(2));
+      double w = 0.0;
+      if (!numbers.positive_number("w=", token.substr(2), w)) return false;
+      check.options.w = w;
     } else if (token.rfind("--max-nodes=", 0) == 0) {
       std::size_t nodes = 0;
-      if (!parse_node_budget(token.substr(12), nodes)) return false;
+      if (!numbers.positive_count("--max-nodes=", token.substr(12), nodes)) return false;
       check.options.max_nodes = nodes;
     } else if (token.rfind("--deadline-ms=", 0) == 0) {
-      check.options.deadline_ms = std::stod(token.substr(14));
+      double deadline_ms = 0.0;
+      if (!numbers.finite_number("--deadline-ms=", token.substr(14), deadline_ms)) return false;
+      check.options.deadline_ms = deadline_ms;
     } else if (token.rfind("--fallback=", 0) == 0) {
       check.options.fallback = token.substr(11);
     } else if (token.rfind("--", 0) == 0) {

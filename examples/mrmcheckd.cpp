@@ -22,6 +22,7 @@
 #include <sstream>
 #include <string>
 
+#include "cli_numbers.hpp"
 #include "daemon/server.hpp"
 #include "io/model_files.hpp"
 #include "lang/builder.hpp"
@@ -48,27 +49,7 @@ void usage() {
                "                    generator (families: crowd, grid, virus)\n");
 }
 
-/// Parses a count flag's value strictly: decimal digits only (no sign, no
-/// whitespace, no suffix) and in [1, max] — so `-5` fails instead of
-/// wrapping, and an oversized value fails instead of being truncated.
-bool parse_count(const std::string& text, const char* flag, unsigned long long max,
-                 std::size_t& out) {
-  try {
-    if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos) {
-      throw std::invalid_argument(text);
-    }
-    const unsigned long long value = std::stoull(text);  // throws past the range
-    if (value == 0 || value > max) throw std::invalid_argument(text);
-    out = static_cast<std::size_t>(value);
-    return true;
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrmcheckd: %s expects an integer in [1, %llu], got '%s'\n", flag, max,
-                 text.c_str());
-    return false;
-  }
-}
-
-constexpr unsigned long long kMaxCount = std::numeric_limits<std::size_t>::max();
+constexpr std::size_t kMaxCount = std::numeric_limits<std::size_t>::max();
 
 bool ends_with(const std::string& text, const char* suffix) {
   const std::string s(suffix);
@@ -95,6 +76,7 @@ csrlmrm::core::Mrm load_preload_model(const std::string& path) {
 
 int main(int argc, char** argv) {
   using namespace csrlmrm;
+  const cli::NumberFlags numbers("mrmcheckd");
   daemon::ServerOptions options;
   std::vector<std::pair<std::string, std::string>> preloads;  // name -> path
   for (int arg = 1; arg < argc; ++arg) {
@@ -113,15 +95,16 @@ int main(int argc, char** argv) {
         value = token.substr(10);
       }
       std::size_t threads = 0;
-      if (!parse_count(value, "--threads", parallel::kMaxThreads, threads)) return 2;
+      if (!numbers.count("--threads", value, parallel::kMaxThreads, threads)) return 2;
       options.service.checker.threads = static_cast<unsigned>(threads);
       parallel::set_default_thread_count(static_cast<unsigned>(threads));
     } else if (token.rfind("--max-queue=", 0) == 0) {
-      if (!parse_count(token.substr(12), "--max-queue=", kMaxCount, options.service.max_queue)) {
+      if (!numbers.count("--max-queue=", token.substr(12), kMaxCount,
+                         options.service.max_queue)) {
         return 2;
       }
     } else if (token.rfind("--models=", 0) == 0) {
-      if (!parse_count(token.substr(9), "--models=", kMaxCount, options.registry_capacity)) {
+      if (!numbers.count("--models=", token.substr(9), kMaxCount, options.registry_capacity)) {
         return 2;
       }
     } else if (token == "--stats") {

@@ -4,11 +4,12 @@
 // power modes with energy draws as state rewards and mode-switch energies as
 // impulse rewards. We check the thesis's own example properties.
 #include <cstdio>
+#include <string>
+#include <vector>
 
-#include "checker/sat.hpp"
-#include "logic/parser.hpp"
 #include "logic/printer.hpp"
 #include "models/wavelan.hpp"
+#include "plan/batch.hpp"
 
 int main() {
   using namespace csrlmrm;
@@ -22,10 +23,10 @@ int main() {
   //    time- and reward-bounded until; w is the path-truncation probability.
   checker::CheckerOptions options;
   options.uniformization.truncation_probability = 1e-14;
-  checker::ModelChecker checker(model, options);
 
-  // 3. Parse and check CSRL formulas.
-  const char* const formulas[] = {
+  // 3. Check a batch of CSRL formulas: each text is parsed alone, and the
+  //    batch runs as one compiled plan sharing subformulas and solves.
+  const std::vector<std::string> formulas = {
       // Steady state: the modem is busy (tx or rx) a non-trivial fraction of
       // the time, but certainly not most of it.
       "S(>0.01) busy",
@@ -40,23 +41,27 @@ int main() {
       "P(>=0.99)[TT U busy]",
   };
 
-  for (const char* const text : formulas) {
-    const logic::FormulaPtr formula = logic::parse_formula(text);
-    const std::vector<bool> sat = checker.satisfaction_set(formula);
-    std::printf("%s\n  Sat = {", logic::to_string(formula).c_str());
+  const plan::BatchOutcome outcome = plan::check_batch(model, formulas, options);
+
+  for (const plan::BatchEntry& entry : outcome.entries) {
+    if (!entry.error.empty()) {
+      std::fprintf(stderr, "error: %s\n", entry.error.c_str());
+      return 1;
+    }
+    std::printf("%s\n  Sat = {", logic::to_string(entry.formula).c_str());
     bool first = true;
     const char* const names[] = {"off", "sleep", "idle", "receive", "transmit"};
     for (core::StateIndex s = 0; s < model.num_states(); ++s) {
-      if (!sat[s]) continue;
+      if (!entry.result.sat[s]) continue;
       std::printf("%s%s", first ? "" : ", ", names[s]);
       first = false;
     }
     std::printf("}\n\n");
   }
 
-  // 4. Numeric values (not just the boolean verdict) are available too.
-  const auto values = checker.path_probabilities(
-      logic::parse_formula("P(>0.1)[idle U[0,2][0,2000] busy]"));
+  // 4. Numeric values (not just the boolean verdict) are available too:
+  //    the raw path probabilities behind Example 3.6's P operator.
+  const auto& values = outcome.entries[2].result.probabilities;
   std::printf("P(idle, idle U[0,2][0,2000] busy) = %.6f (error bound %.2e)\n",
               values[models::kWavelanIdle].probability,
               values[models::kWavelanIdle].error_bound);

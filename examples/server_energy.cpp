@@ -3,10 +3,12 @@
 // consumption, and what the wake-up impulse adds.
 #include <cstdio>
 
+#include <string>
+#include <vector>
+
 #include "checker/performability.hpp"
-#include "checker/sat.hpp"
-#include "logic/parser.hpp"
 #include "models/mm1k.hpp"
+#include "plan/batch.hpp"
 #include "sim/simulator.hpp"
 
 int main() {
@@ -21,18 +23,23 @@ int main() {
 
   checker::CheckerOptions options;
   options.uniformization.truncation_probability = 1e-10;
-  checker::ModelChecker checker(model, options);
 
-  // Service-level statements in CSRL.
-  for (const char* text : {
-           "S(<0.05) full",                      // blocking below 5% in the long run
-           "S(>0.3) empty",                      // the server can nap often
-           "P(<0.3)[TT U[0,5][0,50] full]",      // no overload soon, within energy budget
-           "P(>0.5)[!full U[0,5][0,75] empty]",  // drains before overflowing
-       }) {
-    const auto formula = logic::parse_formula(text);
-    std::printf("%-38s -> from empty: %s\n", text,
-                checker.satisfies(0, formula) ? "SATISFIED" : "not satisfied");
+  // Service-level statements in CSRL, checked as one batch.
+  const std::vector<std::string> statements = {
+      "S(<0.05) full",                      // blocking below 5% in the long run
+      "S(>0.3) empty",                      // the server can nap often
+      "P(<0.3)[TT U[0,5][0,50] full]",      // no overload soon, within energy budget
+      "P(>0.5)[!full U[0,5][0,75] empty]",  // drains before overflowing
+  };
+  const plan::BatchOutcome outcome = plan::check_batch(model, statements, options);
+  for (std::size_t i = 0; i < statements.size(); ++i) {
+    const plan::BatchEntry& entry = outcome.entries[i];
+    if (!entry.error.empty()) {
+      std::fprintf(stderr, "error: %s\n", entry.error.c_str());
+      return 1;
+    }
+    std::printf("%-38s -> from empty: %s\n", statements[i].c_str(),
+                entry.result.sat[0] ? "SATISFIED" : "not satisfied");
   }
 
   // Performability: distribution of consumed energy over a 5-hour shift.

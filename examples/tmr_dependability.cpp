@@ -3,10 +3,12 @@
 // reachability of repair goals, and the effect of the repair-impulse costs.
 #include <cstdio>
 #include <string>
+#include <vector>
 
-#include "checker/sat.hpp"
 #include "logic/parser.hpp"
 #include "models/tmr.hpp"
+#include "plan/compiler.hpp"
+#include "plan/executor.hpp"
 
 int main() {
   using namespace csrlmrm;
@@ -16,7 +18,11 @@ int main() {
 
   checker::CheckerOptions options;
   options.uniformization.truncation_probability = 1e-12;
-  checker::ModelChecker checker(model, options);
+  // Each query runs as a compiled plan of one formula.
+  const auto check = [&](const std::string& text) {
+    return plan::execute(plan::compile(model, {logic::parse_formula(text)}, options), model)
+        .formulas[0];
+  };
 
   std::printf("Triple-modular-redundant system (Table 5.2 rates)\n");
   std::printf("states: 0=3up 1=2up 2=1up 3=0up 4=vdown\n\n");
@@ -24,17 +30,16 @@ int main() {
   // Long-run availability: the system is operational (Sup) almost always
   // (pi(Sup) ~ 0.9983 with the Table 5.2 rates).
   for (const char* text : {"S(>0.99) Sup", "S(>0.999) Sup", "S(<0.01) failed"}) {
-    const auto formula = logic::parse_formula(text);
     std::printf("%-22s -> state 3up %s\n", text,
-                checker.satisfies(0, formula) ? "SATISFIED" : "not satisfied");
+                check(text).sat[0] ? "SATISFIED" : "not satisfied");
   }
 
   // Mission-time dependability: chance of hitting a failure state within a
   // mission of t hours while operating all along, with bounded resource use.
   std::printf("\nP(3up, Sup U[0,t][0,3000] failed):\n");
   for (const double t : {50.0, 200.0, 500.0}) {
-    const auto values = checker.path_probabilities(logic::parse_formula(
-        "P(>0.1)[Sup U[0," + std::to_string(t) + "][0,3000] failed]"));
+    const auto values =
+        check("P(>0.1)[Sup U[0," + std::to_string(t) + "][0,3000] failed]").probabilities;
     std::printf("  t = %-4.0f  P = %-12.8f  error <= %.2e\n", t, values[0].probability,
                 values[0].error_bound);
   }
@@ -44,13 +49,16 @@ int main() {
   // (2.5 per module, 5 for the voter) charged on every completed repair.
   std::printf("\nP(s, tt U[0,8][0,r] allUp) from degraded states:\n");
   std::printf("%-8s %-10s %-10s %-10s\n", "start", "r=100", "r=50", "r=25");
+  std::vector<std::vector<checker::UntilValue>> by_budget;
+  for (const double r : {100.0, 50.0, 25.0}) {
+    by_budget.push_back(
+        check("P(>0.5)[TT U[0,8][0," + std::to_string(r) + "] allUp]").probabilities);
+  }
   const char* const starts[] = {"2up", "1up", "0up", "vdown"};
   const core::StateIndex start_states[] = {1, 2, 3, models::tmr_voter_down_state(3)};
   for (int i = 0; i < 4; ++i) {
     std::printf("%-8s", starts[i]);
-    for (const double r : {100.0, 50.0, 25.0}) {
-      const auto values = checker.path_probabilities(logic::parse_formula(
-          "P(>0.5)[TT U[0,8][0," + std::to_string(r) + "] allUp]"));
+    for (const auto& values : by_budget) {
       std::printf(" %-10.6f", values[start_states[i]].probability);
     }
     std::printf("\n");
@@ -63,10 +71,10 @@ int main() {
 
   // A nested property: from every operational state, with high probability
   // the next transition keeps the system operational.
-  const auto nested = logic::parse_formula("P(>0.9)[X Sup]");
+  const std::vector<bool> nested = check("P(>0.9)[X Sup]").sat;
   std::printf("\nP(>0.9)[X Sup]: ");
   for (core::StateIndex s = 0; s < model.num_states(); ++s) {
-    if (checker.satisfies(s, nested)) std::printf("state%zu ", s);
+    if (nested[s]) std::printf("state%zu ", s);
   }
   std::printf("satisfy.\n");
   return 0;

@@ -138,24 +138,6 @@ UntilEvaluation evaluate_until_operator(const core::Mrm& model, const SatSets& l
   return result;
 }
 
-std::vector<double> expected_reward_values(const core::Mrm& model,
-                                           const logic::ExpectedRewardFormula& node,
-                                           const SatSets* operand,
-                                           const CheckerOptions& options) {
-  switch (node.query) {
-    case logic::RewardQuery::kCumulative:
-      return expected_accumulated_rewards(model, node.time_horizon, options.transient);
-    case logic::RewardQuery::kReachability:
-      if (operand == nullptr) {
-        throw std::invalid_argument("expected_reward_values: reachability needs operand sets");
-      }
-      return expected_reward_to_hit(model, operand->sat, options.solver);
-    case logic::RewardQuery::kLongRun:
-      return long_run_reward_rate(model, options.solver);
-  }
-  throw std::logic_error("expected_reward_values: unknown reward query");
-}
-
 RewardEvaluation evaluate_reward_operator(const core::Mrm& model,
                                           const logic::ExpectedRewardFormula& node,
                                           const SatSets* operand,
@@ -168,7 +150,7 @@ RewardEvaluation evaluate_reward_operator(const core::Mrm& model,
       // The reward series truncates the Poisson tail, losing at most
       // epsilon * t of residence mass; each lost unit earns at most the
       // largest gain rate, so the truth lies in [v, v + eps * t * max gain].
-      result.values = expected_reward_values(model, node, operand, options);
+      result.values = expected_accumulated_rewards(model, node.time_horizon, options.transient);
       const auto gain = per_state_gain_rates(model);
       const double max_gain = gain.empty() ? 0.0 : *std::max_element(gain.begin(), gain.end());
       const double slack = options.transient.epsilon * node.time_horizon * max_gain;
@@ -199,7 +181,7 @@ RewardEvaluation evaluate_reward_operator(const core::Mrm& model,
       return result;
     }
     case logic::RewardQuery::kLongRun: {
-      result.values = expected_reward_values(model, node, operand, options);
+      result.values = long_run_reward_rate(model, options.solver);
       for (std::size_t s = 0; s < n; ++s) {
         result.bounds[s] = ProbabilityBound::point(result.values[s]);
       }

@@ -1,19 +1,19 @@
-// The per-operator evaluation core shared by the AST-walking ModelChecker
-// (checker/sat.hpp) and the plan executor (plan/executor.hpp).
+// The per-operator evaluation core of the plan executor (plan/executor.hpp).
 //
 // Every CSRL operator evaluation — the Kleene three-valued boolean
 // connectives, the widened two-mask runs of the numeric operators (S, P, R),
 // and the three-valued threshold comparison — lives here as a free function
-// of (model, operand sets, options). Both front ends call exactly these
-// functions, so a compiled plan's verdicts and value intervals are
-// bitwise-identical to the direct checker's by construction, not by
-// coincidence: there is one implementation to agree with.
+// of (model, operand sets, options). The executor calls exactly these
+// functions, and so does the test suite's AST-walking reference checker
+// (tests/reference_checker.hpp), which is why a compiled plan's verdicts and
+// value intervals can be held bitwise-equal to a direct per-formula walk:
+// there is one implementation to agree with.
 //
 // The numeric operator evaluations return the pessimistic-run raw values
 // next to the widened per-state enclosures. The two are computed in one
-// engine run (the raw values ARE the lower run), which is what lets the plan
+// engine run (the raw values ARE the lower run), which is what lets the
 // executor serve both the printed probabilities and the verdicts from a
-// single solve where the direct CLI path pays for two.
+// single solve.
 #pragma once
 
 #include <vector>
@@ -98,14 +98,6 @@ RewardEvaluation evaluate_reward_operator(const core::Mrm& model,
                                           const logic::ExpectedRewardFormula& node,
                                           const SatSets* operand,
                                           const CheckerOptions& options);
-
-/// Raw R-operator values only (what ModelChecker::expected_rewards reports):
-/// expected cumulative reward by the horizon, expected reward to hit the
-/// operand set, or the long-run rate.
-std::vector<double> expected_reward_values(const core::Mrm& model,
-                                           const logic::ExpectedRewardFormula& node,
-                                           const SatSets* operand,
-                                           const CheckerOptions& options);
 
 // --- Threshold comparison -------------------------------------------------
 

@@ -17,8 +17,9 @@
 //   kUnknown  the interval straddles the threshold — the configured
 //             accuracy cannot decide the formula
 //
-// ModelChecker propagates kUnknown through the boolean connectives by
-// Kleene's strong three-valued logic, and mrmcheck surfaces UNKNOWN states
+// The plan executor propagates kUnknown through the boolean connectives by
+// Kleene's strong three-valued logic (checker/operator_eval.hpp), and
+// mrmcheck surfaces UNKNOWN states
 // (exit status 3 under --strict).
 #pragma once
 

@@ -3,8 +3,8 @@
 // executions.
 //
 // Why batching preserves correctness: plan execution is differential-tested
-// bitwise-identical to a direct per-formula ModelChecker run regardless of
-// batch composition (tests/test_plan_differential.cpp), and every numeric
+// bitwise-identical to a direct per-formula AST walk regardless of batch
+// composition (tests/test_plan_differential.cpp), and every numeric
 // engine underneath is deterministic at any thread count. So combining N
 // clients' formulas into one compiled plan — deduplicating shared solves and
 // absorbing transforms across *clients*, not just within one request —

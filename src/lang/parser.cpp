@@ -1,6 +1,7 @@
 #include "lang/parser.hpp"
 
 #include <cctype>
+#include <stdexcept>
 #include <utility>
 
 namespace csrlmrm::lang {
@@ -75,7 +76,13 @@ std::vector<Tok> lex(const std::string& text) {
       }
       const std::string spelling = text.substr(start, i - start);
       try {
-        tokens.push_back({TokKind::kNumber, spelling, std::stod(spelling), line});
+        std::size_t used = 0;
+        // lint:allow(banned-identifier) — the token was scanned above
+        // (digits, dots, exponent) and stod must consume all of it, so a
+        // second '.' fails instead of being dropped.
+        const double value = std::stod(spelling, &used);
+        if (used != spelling.size()) throw std::invalid_argument(spelling);
+        tokens.push_back({TokKind::kNumber, spelling, value, line});
       } catch (const std::exception&) {
         fail("malformed number '" + spelling + "'", line);
       }

@@ -1,6 +1,7 @@
 #include "logic/lexer.hpp"
 
 #include <cctype>
+#include <stdexcept>
 
 namespace csrlmrm::logic {
 
@@ -48,7 +49,13 @@ std::vector<Token> tokenize(const std::string& input) {
       }
       const std::string text = input.substr(start, i - start);
       try {
-        push(TokenKind::kNumber, start, i - start, std::stod(text));
+        std::size_t used = 0;
+        // lint:allow(banned-identifier) — the token was scanned above
+        // (digits, dots, exponent) and stod must consume all of it, so a
+        // second '.' fails instead of being dropped.
+        const double value = std::stod(text, &used);
+        if (used != text.size()) throw std::invalid_argument(text);
+        push(TokenKind::kNumber, start, i - start, value);
       } catch (const std::exception&) {
         throw ParseError("malformed number '" + text + "'", start + 1);
       }

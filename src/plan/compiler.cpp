@@ -228,7 +228,7 @@ class Lowerer {
         known_[lhs] && known_[rhs]) {
       const std::shared_ptr<const core::Mrm> transformed = plan_.transforms->absorbing(
           model_, transform_mask(*shape, *known_[lhs], *known_[rhs]));
-      // The run-time rule itself, so plan and direct check cannot disagree.
+      // The run-time rule itself, so the annotation and the solve cannot disagree.
       op.engine_known = true;
       op.engine_choice =
           checker::choose_until_method(*transformed, node.time_bound.upper(), plan_.options);

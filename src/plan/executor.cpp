@@ -117,8 +117,8 @@ PlanResult execute(const Plan& plan, const core::Mrm& model) {
           formula.probabilities = solve_untils[solve];
           break;
         case OpKind::kNextSolve: {
-          // Next probabilities are exact; the direct checker reports them as
-          // point-interval UntilValues and so does the plan.
+          // Next probabilities are exact: reported as point-interval
+          // UntilValues.
           std::vector<checker::UntilValue> values(solve_values[solve].size());
           for (std::size_t s = 0; s < values.size(); ++s) {
             values[s] = checker::exact_until_value(solve_values[solve][s]);

@@ -1,14 +1,15 @@
 // The plan executor: one forward walk over a compiled plan's ops.
 //
-// Every numeric op calls the same checker/operator_eval.hpp function the
-// direct ModelChecker would, against the same model and options, so verdicts
-// and value enclosures are bitwise-identical to a per-formula direct check
-// (tests/test_plan_differential.cpp asserts this at 1/2/8 threads). What the
-// plan buys is work shared across the batch:
+// Every numeric op calls a checker/operator_eval.hpp function against the
+// plan's model and options, so verdicts and value enclosures are
+// bitwise-identical to a per-formula AST walk over the same functions (the
+// test suite's reference checker; tests/test_plan_differential.cpp asserts
+// this at 1/2/8 threads). What the plan buys is work shared across the
+// batch:
 //
 //   - each deduplicated solve runs ONCE for every formula referencing it,
 //     and serves both the printed probabilities and the verdicts from that
-//     one run (a direct ModelChecker pays two solves for the same output);
+//     one run;
 //   - absorbing transforms are served from the plan's prewarmed
 //     TransformCache instead of rebuilt per until query;
 //   - Omega/Poisson setup behind the uniformization engines is shared via
@@ -16,8 +17,7 @@
 //     model reach with identical keys.
 //
 // Execution is serial over ops (each numeric op parallelizes internally over
-// start states, exactly like the direct checker, at the thread count of the
-// plan's CheckerOptions). The TransformCache locks
+// start states, at the thread count of the plan's CheckerOptions). The TransformCache locks
 // internally, so concurrent executions of plans sharing one cache (the
 // mrmcheckd per-model resident cache) are safe; a single PlanResult is still
 // built by one thread.
@@ -40,12 +40,12 @@ struct FormulaResult {
   std::vector<checker::Verdict> verdicts;
 
   /// Widened per-state value enclosures of the root operator, when the root
-  /// is an S/P/R node (ModelChecker::value_bounds equivalent).
+  /// is an S/P/R node: what the root's threshold is compared against.
   bool has_bounds = false;
   std::vector<checker::ProbabilityBound> bounds;
 
-  /// Raw path probabilities, when the root is a P node
-  /// (ModelChecker::path_probabilities equivalent).
+  /// Raw path probabilities (the pessimistic operator run), when the root
+  /// is a P node.
   bool has_probabilities = false;
   std::vector<checker::UntilValue> probabilities;
 
@@ -62,7 +62,7 @@ struct PlanResult {
 
 /// Executes `plan` against `model` — the same model it was compiled for
 /// (checked by state count). Throws checker::UnsupportedFormulaError for
-/// kUnsupported until ops, exactly like the direct checker would.
+/// kUnsupported until ops.
 PlanResult execute(const Plan& plan, const core::Mrm& model);
 
 }  // namespace csrlmrm::plan

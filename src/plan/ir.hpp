@@ -9,8 +9,7 @@
 //                three-valued SatSets per state
 //   numeric ops  steady-/next-/until-/reward-solve — produce the widened
 //                per-state value enclosures (and the raw pessimistic values)
-//                by calling the same checker/operator_eval.hpp functions the
-//                direct ModelChecker uses
+//                by calling the checker/operator_eval.hpp functions
 //   compare ops  threshold comparison of a solve op's enclosures — produce
 //                a SatSets again
 //

@@ -1,17 +1,17 @@
-// ModelChecker end-to-end: Algorithm 4.1 over parsed CSRL formulas.
-#include "checker/sat.hpp"
-
+// The checker end-to-end: Algorithm 4.1 over parsed CSRL formulas, run
+// through the compiled plan.
 #include <gtest/gtest.h>
 
 #include "logic/parser.hpp"
 #include "models/wavelan.hpp"
+#include "plan_check.hpp"
 
 namespace csrlmrm::checker {
 namespace {
 
 class CheckerOnWavelan : public ::testing::Test {
  protected:
-  CheckerOnWavelan() : model_(models::make_wavelan()), checker_(model_, options()) {}
+  CheckerOnWavelan() : model_(models::make_wavelan()) {}
 
   static CheckerOptions options() {
     CheckerOptions o;
@@ -19,12 +19,13 @@ class CheckerOnWavelan : public ::testing::Test {
     return o;
   }
 
-  std::vector<bool> sat(const std::string& formula) {
-    return checker_.satisfaction_set(logic::parse_formula(formula));
+  plan::FormulaResult check(const std::string& formula) const {
+    return test::check_one(model_, formula, options());
   }
 
+  std::vector<bool> sat(const std::string& formula) const { return check(formula).sat; }
+
   core::Mrm model_;
-  ModelChecker checker_;
 };
 
 TEST_F(CheckerOnWavelan, ConstantsAndAtoms) {
@@ -89,37 +90,47 @@ TEST_F(CheckerOnWavelan, NestedFormulasEvaluate) {
   EXPECT_FALSE(s[models::kWavelanOff]);
 }
 
+// A formula node is evaluated once per plan: the same node twice in a batch
+// lowers to one root op and yields the same satisfaction set.
 TEST_F(CheckerOnWavelan, SatisfactionIsMemoizedPerNode) {
   const auto formula = logic::parse_formula("S(>0.0001) busy");
-  const auto& first = checker_.satisfaction_set(formula);
-  const auto& second = checker_.satisfaction_set(formula);
-  EXPECT_EQ(&first, &second);  // same cached vector
+  const plan::Plan compiled = plan::compile(model_, {formula, formula}, options());
+  ASSERT_EQ(compiled.roots.size(), 2u);
+  EXPECT_EQ(compiled.roots[0], compiled.roots[1]);
+  const plan::PlanResult result = plan::execute(compiled, model_);
+  EXPECT_EQ(result.formulas[0].sat, result.formulas[1].sat);
 }
 
 TEST_F(CheckerOnWavelan, SatisfiesChecksSingleState) {
-  const auto formula = logic::parse_formula("busy");
-  EXPECT_TRUE(checker_.satisfies(models::kWavelanReceive, formula));
-  EXPECT_FALSE(checker_.satisfies(models::kWavelanIdle, formula));
-  EXPECT_THROW(checker_.satisfies(17, formula), std::out_of_range);
+  const auto result = check("busy");
+  ASSERT_EQ(result.sat.size(), model_.num_states());
+  EXPECT_TRUE(result.sat[models::kWavelanReceive]);
+  EXPECT_FALSE(result.sat[models::kWavelanIdle]);
+  EXPECT_EQ(result.verdicts[models::kWavelanReceive], Verdict::kSat);
+  EXPECT_EQ(result.verdicts[models::kWavelanIdle], Verdict::kUnsat);
 }
 
+// Raw numbers belong to operator roots only: none for a label, steady-state
+// values (not path probabilities) for an S node.
 TEST_F(CheckerOnWavelan, PathProbabilitiesRejectsNonPathNode) {
-  EXPECT_THROW(checker_.path_probabilities(logic::parse_formula("busy")),
-               std::invalid_argument);
-  EXPECT_THROW(checker_.steady_probabilities(logic::parse_formula("busy")),
-               std::invalid_argument);
+  const auto label = check("busy");
+  EXPECT_FALSE(label.has_probabilities);
+  EXPECT_FALSE(label.has_values);
+  EXPECT_FALSE(label.has_bounds);
+  const auto steady = check("S(>0.0001) busy");
+  EXPECT_FALSE(steady.has_probabilities);
+  EXPECT_TRUE(steady.has_values);
+  EXPECT_EQ(steady.values.size(), model_.num_states());
 }
 
 TEST_F(CheckerOnWavelan, DiscretizationMethodIsSelectable) {
   CheckerOptions o;
   o.until_method = UntilMethod::kDiscretization;
   o.discretization.step = 0.015625;  // 1/64 > 1/14.25? no: 0.0156*14.25 = 0.22 < 1 ok
-  ModelChecker discretizing(model_, o);
   // Use a reward bound that is a multiple of the impulse grid: impulses are
   // multiples of 5e-5, not of d -> the engine must refuse.
-  EXPECT_THROW(
-      discretizing.path_probabilities(logic::parse_formula("P(>0.1)[idle U[0,2][0,2000] busy]")),
-      std::invalid_argument);
+  EXPECT_THROW(test::check_one(model_, "P(>0.1)[idle U[0,2][0,2000] busy]", o),
+               std::invalid_argument);
 }
 
 TEST(Checker, HandlesModelWithTrapStates) {
@@ -129,12 +140,11 @@ TEST(Checker, HandlesModelWithTrapStates) {
   core::Labeling labels(2);
   labels.add(1, "b");
   const core::Mrm model(core::Ctmc(rates.build(), std::move(labels)), {1.0, 0.0});
-  ModelChecker checker(model);
   // P(0, TT U^[0,1]_[0,10] b) = 1 - e^{-1} ~ 0.632 (reward bound not binding).
-  const auto yes = checker.satisfaction_set(logic::parse_formula("P(>=0.5)[TT U[0,1][0,10] b]"));
+  const auto yes = test::check_one(model, "P(>=0.5)[TT U[0,1][0,10] b]").sat;
   EXPECT_TRUE(yes[0]);
   EXPECT_TRUE(yes[1]);
-  const auto no = checker.satisfaction_set(logic::parse_formula("P(>=0.7)[TT U[0,1][0,10] b]"));
+  const auto no = test::check_one(model, "P(>=0.7)[TT U[0,1][0,10] b]").sat;
   EXPECT_FALSE(no[0]);
   EXPECT_TRUE(no[1]);
 }

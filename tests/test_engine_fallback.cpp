@@ -8,12 +8,12 @@
 #include <algorithm>
 #include <string>
 
-#include "checker/sat.hpp"
 #include "checker/until.hpp"
 #include "core/transform.hpp"
 #include "logic/ast.hpp"
 #include "numeric/class_explorer.hpp"
 #include "obs/stats.hpp"
+#include "plan_check.hpp"
 
 namespace csrlmrm::checker {
 namespace {
@@ -366,14 +366,14 @@ TEST(VerdictStability, ThresholdInsideTheErrorBandIsUnknownOnBothEngines) {
                                                  logic::make_atomic("a"),
                                                  logic::make_atomic("b"));
 
-  ModelChecker by_uni(model, coarse_uni);
-  ModelChecker by_disc(model, coarse_disc);
-  EXPECT_EQ(by_uni.verdicts(straddling)[s], Verdict::kUnknown);
-  EXPECT_EQ(by_disc.verdicts(straddling)[s], Verdict::kUnknown);
+  const plan::FormulaResult by_uni = test::check_one(model, straddling, coarse_uni);
+  const plan::FormulaResult by_disc = test::check_one(model, straddling, coarse_disc);
+  EXPECT_EQ(by_uni.verdicts[s], Verdict::kUnknown);
+  EXPECT_EQ(by_disc.verdicts[s], Verdict::kUnknown);
   // And UNKNOWN states are never reported as satisfying.
-  EXPECT_FALSE(by_uni.satisfaction_set(straddling)[s]);
-  EXPECT_FALSE(by_disc.satisfaction_set(straddling)[s]);
-  EXPECT_TRUE(by_uni.unknown_set(straddling)[s]);
+  EXPECT_FALSE(by_uni.sat[s]);
+  EXPECT_FALSE(by_disc.sat[s]);
+  EXPECT_TRUE(by_uni.unknown[s]);
 }
 
 TEST(VerdictStability, KleenePropagationThroughConnectives) {
@@ -390,19 +390,24 @@ TEST(VerdictStability, KleenePropagationThroughConnectives) {
       logic::make_prob_until(logic::Comparison::kGreaterEqual, threshold, logic::up_to(1.0),
                              logic::up_to(2.0), logic::make_atomic("a"),
                              logic::make_atomic("b"));
-  ModelChecker checker(model, coarse);
-  ASSERT_EQ(checker.verdicts(unknown_node)[s], Verdict::kUnknown);
+  // One plan: the connectives share the UNKNOWN node's single solve.
+  const plan::PlanResult checked = plan::execute(
+      plan::compile(model,
+                    {unknown_node, logic::make_or(logic::make_true(), unknown_node),
+                     logic::make_and(logic::make_false(), unknown_node),
+                     logic::make_not(unknown_node),
+                     logic::make_or(unknown_node, logic::make_false()),
+                     logic::make_and(unknown_node, logic::make_true())},
+                    coarse),
+      model);
+  ASSERT_EQ(checked.formulas[0].verdicts[s], Verdict::kUnknown);
 
-  // T || U = T; F && U = F; !U = U; U || F = U.
-  EXPECT_EQ(checker.verdicts(logic::make_or(logic::make_true(), unknown_node))[s],
-            Verdict::kSat);
-  EXPECT_EQ(checker.verdicts(logic::make_and(logic::make_false(), unknown_node))[s],
-            Verdict::kUnsat);
-  EXPECT_EQ(checker.verdicts(logic::make_not(unknown_node))[s], Verdict::kUnknown);
-  EXPECT_EQ(checker.verdicts(logic::make_or(unknown_node, logic::make_false()))[s],
-            Verdict::kUnknown);
-  EXPECT_EQ(checker.verdicts(logic::make_and(unknown_node, logic::make_true()))[s],
-            Verdict::kUnknown);
+  // T || U = T; F && U = F; !U = U; U || F = U; U && T = U.
+  EXPECT_EQ(checked.formulas[1].verdicts[s], Verdict::kSat);
+  EXPECT_EQ(checked.formulas[2].verdicts[s], Verdict::kUnsat);
+  EXPECT_EQ(checked.formulas[3].verdicts[s], Verdict::kUnknown);
+  EXPECT_EQ(checked.formulas[4].verdicts[s], Verdict::kUnknown);
+  EXPECT_EQ(checked.formulas[5].verdicts[s], Verdict::kUnknown);
 }
 
 }  // namespace

@@ -3,10 +3,10 @@
 
 #include <gtest/gtest.h>
 
-#include "checker/sat.hpp"
 #include "checker/steady.hpp"
 #include "core/lumping.hpp"
 #include "logic/parser.hpp"
+#include "plan_check.hpp"
 
 namespace csrlmrm::models {
 namespace {
@@ -63,12 +63,10 @@ TEST(ExplicitNmr, QuotientMatchesMakeTmrNumerically) {
 
   checker::CheckerOptions options;
   options.uniformization.truncation_probability = 1e-10;
-  checker::ModelChecker quotient_checker(quotient, options);
-  checker::ModelChecker counter_checker(counter, options);
 
   const auto formula = logic::parse_formula("P(>0.1)[TT U[0,100][0,2000] allUp]");
-  const auto quotient_values = quotient_checker.path_probabilities(formula);
-  const auto counter_values = counter_checker.path_probabilities(formula);
+  const auto quotient_values = test::check_one(quotient, formula, options).probabilities;
+  const auto counter_values = test::check_one(counter, formula, options).probabilities;
 
   // Match states through their unique "<k>up"/"vdown" labels.
   for (unsigned working = 0; working <= 4; ++working) {

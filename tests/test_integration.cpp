@@ -1,11 +1,11 @@
 // End-to-end integration: the chapter-5 experimental pipeline in miniature.
 #include <gtest/gtest.h>
 
-#include "checker/sat.hpp"
 #include "io/model_files.hpp"
 #include "logic/parser.hpp"
 #include "models/cellphone.hpp"
 #include "models/tmr.hpp"
+#include "plan_check.hpp"
 
 #include <filesystem>
 
@@ -21,15 +21,13 @@ TEST(Integration, TmrTable53FirstRowReproduces) {
   const core::Mrm model = models::make_tmr(models::TmrConfig{});
   checker::CheckerOptions options;
   options.uniformization.truncation_probability = 1e-11;
-  checker::ModelChecker checker(model, options);
-  const auto values = checker.path_probabilities(
-      logic::parse_formula("P(>0.1)[Sup U[0,50][0,3000] failed]"));
+  const auto result = test::check_one(model, "P(>0.1)[Sup U[0,50][0,3000] failed]", options);
+  const auto& values = result.probabilities;
   EXPECT_NEAR(values[0].probability, 0.005087386344177422, 1e-6);
   EXPECT_LT(values[0].error_bound, 1e-7);
   EXPECT_GT(values[0].error_bound, 0.0);
   // And the satisfaction verdict: 0.005 < 0.1, so state 0 does not satisfy.
-  EXPECT_FALSE(checker.satisfies(
-      0, logic::parse_formula("P(>0.1)[Sup U[0,50][0,3000] failed]")));
+  EXPECT_FALSE(result.sat[0]);
 }
 
 TEST(Integration, TmrTable58DiscretizationReproducesExactly) {
@@ -41,13 +39,13 @@ TEST(Integration, TmrTable58DiscretizationReproducesExactly) {
   checker::CheckerOptions options;
   options.until_method = checker::UntilMethod::kDiscretization;
   options.discretization.step = 0.25;
-  checker::ModelChecker checker(model, options);
   const double paper[] = {0.005061779415718182, 0.010175568967901463, 0.015267158582408371,
                           0.020332872743413364};
   for (int row = 0; row < 4; ++row) {
     const double t = 50.0 * (row + 1);
-    const auto values = checker.path_probabilities(logic::parse_formula(
-        "P(>0.1)[Sup U[0," + std::to_string(t) + "][0,3000] failed]"));
+    const auto values = test::check_one(
+        model, "P(>0.1)[Sup U[0," + std::to_string(t) + "][0,3000] failed]", options)
+                            .probabilities;
     EXPECT_NEAR(values[0].probability, paper[row], 1e-13) << "t=" << t;
   }
 }
@@ -58,9 +56,8 @@ TEST(Integration, NmrTable55RowsWithinTruncationError) {
   const core::Mrm model = models::make_tmr(models::chapter5_nmr_config());
   checker::CheckerOptions options;
   options.uniformization.truncation_probability = 1e-8;
-  checker::ModelChecker checker(model, options);
   const auto values =
-      checker.path_probabilities(logic::parse_formula("P(>0.1)[TT U[0,100][0,2000] allUp]"));
+      test::check_one(model, "P(>0.1)[TT U[0,100][0,2000] allUp]", options).probabilities;
   const double paper[] = {0.00482952588914756, 0.0068486521925764, 0.0131488893307554,
                           0.0307864803541378,  0.0735906999244802, 0.161653274832831,
                           0.311639369763902,   0.516966415983422,  0.733673548795558,
@@ -80,11 +77,11 @@ TEST(Integration, TmrRewardBoundCreatesThePlateau) {
   const core::Mrm model = models::make_tmr(models::TmrConfig{});
   checker::CheckerOptions options;
   options.uniformization.truncation_probability = 1e-13;
-  checker::ModelChecker checker(model, options);
 
   const auto at = [&](double t) {
-    const auto values = checker.path_probabilities(logic::parse_formula(
-        "P(>0.1)[Sup U[0," + std::to_string(t) + "][0,3000] failed]"));
+    const auto values = test::check_one(
+        model, "P(>0.1)[Sup U[0," + std::to_string(t) + "][0,3000] failed]", options)
+                            .probabilities;
     return values[0].probability;
   };
   const double p300 = at(300.0);
@@ -97,10 +94,10 @@ TEST(Integration, TmrRewardBoundCreatesThePlateau) {
 TEST(Integration, TmrUnboundedRewardKeepsGrowing) {
   // Control experiment: without the reward bound there is no plateau.
   const core::Mrm model = models::make_tmr(models::TmrConfig{});
-  checker::ModelChecker checker(model);
   const auto at = [&](double t) {
-    const auto values = checker.path_probabilities(logic::parse_formula(
-        "P(>0.1)[Sup U[0," + std::to_string(t) + "] failed]"));
+    const auto values =
+        test::check_one(model, "P(>0.1)[Sup U[0," + std::to_string(t) + "] failed]")
+            .probabilities;
     return values[0].probability;
   };
   EXPECT_GT(at(500.0) - at(420.0), 0.5 * (at(420.0) - at(340.0)));
@@ -112,9 +109,8 @@ TEST(Integration, ElevenModuleCurveIsMonotoneInWorkingModules) {
   const core::Mrm model = models::make_tmr(models::chapter5_nmr_config());
   checker::CheckerOptions options;
   options.uniformization.truncation_probability = 1e-8;
-  checker::ModelChecker checker(model, options);
   const auto values =
-      checker.path_probabilities(logic::parse_formula("P(>0.1)[TT U[0,100][0,2000] allUp]"));
+      test::check_one(model, "P(>0.1)[TT U[0,100][0,2000] allUp]", options).probabilities;
   double previous = -1.0;
   for (int working = 0; working <= 10; ++working) {
     const auto state = models::tmr_state_with_failed(11 - working);
@@ -135,11 +131,9 @@ TEST(Integration, VariableFailureRatesLowerTheCurve) {
   options.uniformization.truncation_probability = 1e-8;
   const core::Mrm constant_model = models::make_tmr(constant_config);
   const core::Mrm variable_model = models::make_tmr(variable_config);
-  checker::ModelChecker constant_checker(constant_model, options);
-  checker::ModelChecker variable_checker(variable_model, options);
   const auto formula = logic::parse_formula("P(>0.1)[TT U[0,100][0,2000] allUp]");
-  const auto constant_values = constant_checker.path_probabilities(formula);
-  const auto variable_values = variable_checker.path_probabilities(formula);
+  const auto constant_values = test::check_one(constant_model, formula, options).probabilities;
+  const auto variable_values = test::check_one(variable_model, formula, options).probabilities;
   for (int working = 1; working <= 10; ++working) {
     const auto state = models::tmr_state_with_failed(11 - working);
     EXPECT_LE(variable_values[state].probability,
@@ -157,16 +151,16 @@ TEST(Integration, CellphoneUniformizationAndDiscretizationAgree) {
 
   checker::CheckerOptions uniformization;
   uniformization.uniformization.truncation_probability = 1e-13;
-  checker::ModelChecker u_checker(model, uniformization);
   const double by_uniformization =
-      u_checker.path_probabilities(formula)[models::kCellphoneStart].probability;
+      test::check_one(model, formula, uniformization).probabilities[models::kCellphoneStart]
+          .probability;
 
   checker::CheckerOptions discretization;
   discretization.until_method = checker::UntilMethod::kDiscretization;
   discretization.discretization.step = 1.0 / 64.0;
-  checker::ModelChecker d_checker(model, discretization);
   const double by_discretization =
-      d_checker.path_probabilities(formula)[models::kCellphoneStart].probability;
+      test::check_one(model, formula, discretization).probabilities[models::kCellphoneStart]
+          .probability;
 
   EXPECT_NEAR(by_uniformization, by_discretization, 5e-3);
   EXPECT_GT(by_uniformization, 0.2);
@@ -186,20 +180,17 @@ TEST(Integration, TmrModelSurvivesFileRoundTrip) {
 
   checker::CheckerOptions options;
   options.uniformization.truncation_probability = 1e-11;
-  checker::ModelChecker original_checker(model, options);
-  checker::ModelChecker loaded_checker(loaded, options);
   const auto formula = logic::parse_formula("P(>0.1)[Sup U[0,50][0,3000] failed]");
-  EXPECT_DOUBLE_EQ(original_checker.path_probabilities(formula)[0].probability,
-                   loaded_checker.path_probabilities(formula)[0].probability);
+  EXPECT_DOUBLE_EQ(test::check_one(model, formula, options).probabilities[0].probability,
+                   test::check_one(loaded, formula, options).probabilities[0].probability);
   std::filesystem::remove_all(dir);
 }
 
 TEST(Integration, SteadyStateOfTmrFavorsOperationalStates) {
   const core::Mrm model = models::make_tmr(models::TmrConfig{});
-  checker::ModelChecker checker(model);
   // With repair much faster than failure the system is almost always Sup.
-  EXPECT_TRUE(checker.satisfies(0, logic::parse_formula("S(>0.99) Sup")));
-  EXPECT_FALSE(checker.satisfies(0, logic::parse_formula("S(>0.5) failed")));
+  EXPECT_TRUE(test::check_one(model, "S(>0.99) Sup").sat[0]);
+  EXPECT_FALSE(test::check_one(model, "S(>0.5) failed").sat[0]);
 }
 
 }  // namespace

@@ -396,6 +396,59 @@ TEST_F(MrmcheckCli, ClientRejectsUnknownOptionsBeforeConnecting) {
   // A well-formed request does try to connect, and fails on the socket.
   EXPECT_EQ(run_binary(MRMCHECKC_BINARY, socket + " check m --max-nodes=5 'TT'"), 1);
 }
+
+// The client's real-valued check options are parsed whole: a half-parsed
+// `w=1e-8x` or a non-number deadline exits 2 with a named diagnostic before
+// connecting. The socket does not exist, so a value that slipped through
+// would exit 1 on the connect instead.
+TEST_F(MrmcheckCli, ClientNumberFlagsAreStrict) {
+  const std::string socket = "--socket='" + (directory_ / "absent.sock").string() + "'";
+  const struct {
+    const char* argument;
+    const char* diagnostic;
+  } cases[] = {
+      {"w=1e-8x", "w= expects a positive number, got '1e-8x'"},
+      {"w=abc", "w= expects a positive number"},
+      {"w=", "w= expects a positive number"},
+      {"w=-1e-8", "w= expects a positive number"},
+      {"w=0", "w= expects a positive number"},
+      {"w=inf", "w= expects a positive number"},
+      {"--deadline-ms=abc", "--deadline-ms= expects a finite number, got 'abc'"},
+      {"--deadline-ms=250ms", "--deadline-ms= expects a finite number"},
+      {"--deadline-ms=nan", "--deadline-ms= expects a finite number"},
+      {"--deadline-ms=", "--deadline-ms= expects a finite number"},
+  };
+  for (const auto& bad : cases) {
+    std::string error;
+    EXPECT_EQ(run_binary(MRMCHECKC_BINARY,
+                         socket + " check m " + bad.argument + " 'TT'", &error),
+              2)
+        << bad.argument;
+    EXPECT_NE(error.find(bad.diagnostic), std::string::npos) << bad.argument << ": " << error;
+  }
+  EXPECT_EQ(run_binary(MRMCHECKC_BINARY, socket + " check m w=1e-8 --deadline-ms=250 'TT'"), 1);
+}
+#endif
+
+#if defined(LARGE_MODELS_BINARY)
+// large_models parses --max-states whole: a sign, a suffix, zero or an
+// out-of-range value exits 2 with a named diagnostic before exploring. The
+// generator family does not exist, so a value that slipped through would
+// exit 1 on the model build instead.
+TEST_F(MrmcheckCli, LargeModelsMaxStatesIsStrict) {
+  for (const char* bad : {"-5", "10x", "+5", "0", " 5", "", "99999999999999999999999"}) {
+    std::string error;
+    EXPECT_EQ(run_binary(LARGE_MODELS_BINARY,
+                         std::string("nosuchfamily:k=1 --max-states '") + bad + "'", &error),
+              2)
+        << bad;
+    EXPECT_NE(error.find(std::string("--max-states expects a positive integer, got '") + bad +
+                         "'"),
+              std::string::npos)
+        << bad << ": " << error;
+  }
+  EXPECT_EQ(run_binary(LARGE_MODELS_BINARY, "nosuchfamily:k=1 --max-states 10"), 1);
+}
 #endif
 
 #if defined(MRMCHECKD_BINARY)

@@ -2,12 +2,12 @@
 // hand-built C++ models.
 #include <gtest/gtest.h>
 
-#include "checker/sat.hpp"
 #include "core/lumping.hpp"
 #include "lang/builder.hpp"
 #include "logic/parser.hpp"
 #include "models/mm1k.hpp"
 #include "models/tmr.hpp"
+#include "plan_check.hpp"
 
 namespace csrlmrm::lang {
 namespace {
@@ -91,11 +91,9 @@ TEST(LangBuilder, TmrSpecMatchesCounterModel) {
   // Compare through the checker (state orders differ).
   checker::CheckerOptions options;
   options.uniformization.truncation_probability = 1e-11;
-  checker::ModelChecker spec_checker(model, options);
-  checker::ModelChecker reference_checker(reference, options);
   const auto formula = logic::parse_formula("P(>0.1)[Sup U[0,50][0,3000] failed]");
-  const auto spec_values = spec_checker.path_probabilities(formula);
-  const auto reference_values = reference_checker.path_probabilities(formula);
+  const auto spec_values = test::check_one(model, formula, options).probabilities;
+  const auto reference_values = test::check_one(reference, formula, options).probabilities;
   EXPECT_NEAR(spec_values[built.state_of({0, 0})].probability,
               reference_values[0].probability, 1e-12);
 }

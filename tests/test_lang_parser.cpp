@@ -126,6 +126,7 @@ TEST(LangParser, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_expression("1 +"), SpecError);
   EXPECT_THROW(parse_expression("(1"), SpecError);
   EXPECT_THROW(parse_expression("1 2"), SpecError);
+  EXPECT_THROW(parse_expression("1.2.3"), SpecError);  // second '.' in a number
 }
 
 TEST(LangParser, CommentsAndWhitespaceAreIgnored)

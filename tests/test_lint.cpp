@@ -250,6 +250,40 @@ TEST(LintRules, ApprovedHelperPrefixesAreExempt) {
       2u);
 }
 
+// Every member of the std::sto* family is banned with the same message,
+// qualified or not; a member access or a declaration that merely shares the
+// name is not a call and stays clean, and lint:allow silences a call.
+TEST(LintRules, BannedIdentifierCoversTheStoFamily) {
+  LintOptions only_banned;
+  only_banned.rule_filter = {"banned-identifier"};
+  for (const char* call : {"stoull", "stoul", "stoi", "stol", "stoll", "stod", "stof"}) {
+    SCOPED_TRACE(call);
+    const std::string qualified =
+        std::string("#include <string>\nauto f(const std::string& s) { return std::") + call +
+        "(s); }\n";
+    const LintReport report = lint_source("examples/a.cpp", qualified, only_banned);
+    ASSERT_EQ(report.diagnostics.size(), 1u);
+    EXPECT_EQ(report.diagnostics[0].line, 2u);
+    EXPECT_EQ(report.diagnostics[0].message,
+              std::string("banned call '") + call +
+                  "': half-parses a suffix and wraps signs; use the strict helper");
+    const std::string unqualified =
+        std::string("using namespace std;\nauto f(const string& s) { return ") + call +
+        "(s); }\n";
+    EXPECT_EQ(lint_source("src/io/a.cpp", unqualified, only_banned).diagnostics.size(), 1u);
+    const std::string allowed = std::string("auto f(const std::string& s) { return std::") +
+                                call + "(s); }  // lint:allow(banned-identifier)\n";
+    const LintReport suppressed = lint_source("tests/a.cpp", allowed, only_banned);
+    EXPECT_TRUE(suppressed.diagnostics.empty());
+    EXPECT_EQ(suppressed.suppressed, 1u);
+  }
+  EXPECT_TRUE(lint_source("tests/a.cpp",
+                          "struct Parsed { double stod; };\n"
+                          "double g(const Parsed& p) { return p.stod + 1.0; }\n",
+                          only_banned)
+                  .diagnostics.empty());
+}
+
 TEST(LintRules, RuleFilterRestrictsExecution) {
   constexpr const char* snippet =
       "#include <iostream>\n"

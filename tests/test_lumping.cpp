@@ -4,11 +4,11 @@
 
 #include <gtest/gtest.h>
 
-#include "checker/sat.hpp"
 #include "checker/steady.hpp"
 #include "checker/until.hpp"
 #include "logic/parser.hpp"
 #include "models/wavelan.hpp"
+#include "plan_check.hpp"
 
 namespace csrlmrm::core {
 namespace {
@@ -121,9 +121,6 @@ TEST(Lumping, QuotientPreservesCheckerResults) {
 
   checker::CheckerOptions options;
   options.uniformization.truncation_probability = 1e-10;
-  checker::ModelChecker original(model, options);
-  checker::ModelChecker reduced(quotient, options);
-
   for (const char* text : {
            "S(>0.1) work",
            "P(>0.05)[TT U[0,2][0,10] down]",
@@ -131,8 +128,8 @@ TEST(Lumping, QuotientPreservesCheckerResults) {
            "P(>0.3)[X[0,1][0,2] work]",
        }) {
     const auto formula = logic::parse_formula(text);
-    const auto& sat_original = original.satisfaction_set(formula);
-    const auto& sat_reduced = reduced.satisfaction_set(formula);
+    const auto sat_original = test::check_one(model, formula, options).sat;
+    const auto sat_reduced = test::check_one(quotient, formula, options).sat;
     for (StateIndex s = 0; s < model.num_states(); ++s) {
       EXPECT_EQ(sat_original[s], sat_reduced[lumping.block_of[s]])
           << text << " state " << s;
@@ -144,8 +141,8 @@ TEST(Lumping, QuotientPreservesCheckerResults) {
   // model splits each symmetric path in two, so its halves drop below w
   // earlier than the quotient's merged path).
   const auto formula = logic::parse_formula("P(>0.05)[TT U[0,2][0,10] down]");
-  const auto original_values = original.path_probabilities(formula);
-  const auto reduced_values = reduced.path_probabilities(formula);
+  const auto original_values = test::check_one(model, formula, options).probabilities;
+  const auto reduced_values = test::check_one(quotient, formula, options).probabilities;
   for (StateIndex s = 0; s < model.num_states(); ++s) {
     const auto& a = original_values[s];
     const auto& b = reduced_values[lumping.block_of[s]];

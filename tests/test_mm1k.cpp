@@ -6,9 +6,9 @@
 
 #include <cmath>
 
-#include "checker/sat.hpp"
 #include "checker/steady.hpp"
 #include "logic/parser.hpp"
+#include "plan_check.hpp"
 
 namespace csrlmrm::models {
 namespace {
@@ -64,12 +64,11 @@ TEST(Mm1k, BlockingProbabilityThroughTheLogic) {
   const double rho = lambda / mu;
   const double pi_full =
       std::pow(rho, k) * (1.0 - rho) / (1.0 - std::pow(rho, k + 1));
-  checker::ModelChecker checker(model);
   // The steady-state formula brackets the true blocking probability.
   const std::string above = "S(>" + std::to_string(pi_full * 0.99) + ") full";
   const std::string below = "S(>" + std::to_string(pi_full * 1.01) + ") full";
-  EXPECT_TRUE(checker.satisfies(0, logic::parse_formula(above)));
-  EXPECT_FALSE(checker.satisfies(0, logic::parse_formula(below)));
+  EXPECT_TRUE(test::check_one(model, above).sat[0]);
+  EXPECT_FALSE(test::check_one(model, below).sat[0]);
 }
 
 TEST(Mm1k, RejectsBadConfiguration) {

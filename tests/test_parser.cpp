@@ -153,6 +153,7 @@ TEST(Parser, RejectsMalformedInput) {
   EXPECT_THROW(parse_formula("P(=0.5)[a U b]"), ParseError);     // bad comparison
   EXPECT_THROW(parse_formula("P(>0.5)[a U[3,1] b]"), ParseError);  // empty interval
   EXPECT_THROW(parse_formula("a b"), ParseError);                // trailing junk
+  EXPECT_THROW(parse_formula("S(>0.1.5) a"), ParseError);        // second '.' in a number
 }
 
 TEST(Parser, ComparisonOperatorsAllParse) {

@@ -1,22 +1,22 @@
-// Differential test of the plan pipeline against the direct checker: for
+// Differential test of the plan pipeline against the reference checker: for
 // random MRMs and random formula batches, compile+execute must reproduce the
-// direct ModelChecker's verdicts, value enclosures, and path probabilities
-// BITWISE — both front ends call the same checker/operator_eval.hpp
+// AST-walking oracle::ReferenceChecker's verdicts, value enclosures, and
+// path probabilities BITWISE — both call the same checker/operator_eval.hpp
 // functions, and this suite is the proof that the plan passes (CSE, transform
 // hoisting, method annotation) never change a single bit of output.
 // Exercised at 1/2/8 worker threads: the plan is compiled at each count and
-// compared against the direct checker at the SAME count.
+// compared against the reference at the SAME count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
-#include "checker/sat.hpp"
 #include "logic/printer.hpp"
 #include "models/random_formula.hpp"
 #include "models/random_mrm.hpp"
 #include "plan/compiler.hpp"
 #include "plan/executor.hpp"
+#include "reference_checker.hpp"
 
 namespace csrlmrm {
 namespace {
@@ -59,8 +59,8 @@ TEST_P(PlanDifferentialSuite, BatchMatchesDirectCheckerBitwiseAtEveryThreadCount
     for (std::size_t i = 0; i < batch.size(); ++i) {
       SCOPED_TRACE("threads=" + std::to_string(threads) + " formula[" + std::to_string(i) +
                    "]=" + logic::to_string(batch[i]));
-      // A fresh checker per formula, like the single-formula CLI lane.
-      checker::ModelChecker direct(model, options);
+      // A fresh reference per formula: nothing shared across the batch.
+      oracle::ReferenceChecker direct(model, options);
       const auto verdicts = direct.verdicts(batch[i]);
       ASSERT_EQ(verdicts.size(), planned.formulas[i].verdicts.size());
       for (std::size_t s = 0; s < verdicts.size(); ++s) {

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "checker/sat.hpp"
 #include "logic/parser.hpp"
 #include "models/random_mrm.hpp"
 #include "models/tmr.hpp"
@@ -17,6 +16,7 @@
 #include "plan/batch.hpp"
 #include "plan/compiler.hpp"
 #include "plan/executor.hpp"
+#include "reference_checker.hpp"
 
 namespace csrlmrm {
 namespace {
@@ -140,7 +140,7 @@ TEST_F(PlanPasses, HoistedTransformSharesOmegaEvaluatorsAcrossSolves) {
 
 // The compile-time annotation must be the decision the runtime path
 // records: on the TMR bench model the cost model keeps uniformization (the
-// class DP with its hybrid armed), and a direct check bumps exactly that
+// class DP with its hybrid armed), and a reference check bumps exactly that
 // counter.
 TEST_F(PlanPasses, CostModelPinMatchesRuntimeAutoChoiceOnTmr) {
   const core::Mrm model = models::make_tmr();
@@ -157,7 +157,7 @@ TEST_F(PlanPasses, CostModelPinMatchesRuntimeAutoChoiceOnTmr) {
   EXPECT_EQ(until->engine_choice.method, checker::UntilMethod::kUniformization);
 
   obs::StatsRegistry::global().reset();
-  checker::ModelChecker direct(model, options);
+  oracle::ReferenceChecker direct(model, options);
   direct.verdicts(batch[0]);
   const auto& registry = obs::StatsRegistry::global();
   EXPECT_EQ(registry.counter("engine.auto_choice.classdp"), 1u);
@@ -183,7 +183,7 @@ TEST_F(PlanPasses, CostModelPinMatchesRuntimeAutoChoiceOnNmr) {
   EXPECT_GT(until->engine_choice.poisson_levels, 0u);
 
   obs::StatsRegistry::global().reset();
-  checker::ModelChecker direct(model, options);
+  oracle::ReferenceChecker direct(model, options);
   direct.verdicts(batch[0]);
   EXPECT_EQ(obs::StatsRegistry::global().counter("engine.auto_choice.classdp"), 1u);
 }

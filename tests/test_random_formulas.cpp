@@ -2,11 +2,13 @@
 // round trips and checker consistency laws on random models.
 #include <gtest/gtest.h>
 
-#include "checker/sat.hpp"
 #include "logic/parser.hpp"
 #include "logic/printer.hpp"
 #include "models/random_formula.hpp"
 #include "models/random_mrm.hpp"
+#include "plan/compiler.hpp"
+#include "plan/executor.hpp"
+#include "plan_check.hpp"
 
 namespace csrlmrm {
 namespace {
@@ -27,8 +29,8 @@ TEST_P(RandomFormulaSuite, PrintedFormulaReparsesToSameSatSet) {
   const core::Mrm model = models::make_random_mrm(GetParam() * 7 + 1, calm_model());
   checker::CheckerOptions options;
   options.uniformization.truncation_probability = 1e-9;
-  checker::ModelChecker checker(model, options);
-  EXPECT_EQ(checker.satisfaction_set(formula), checker.satisfaction_set(reparsed))
+  EXPECT_EQ(test::check_one(model, formula, options).sat,
+            test::check_one(model, reparsed, options).sat)
       << logic::to_string(formula);
 }
 
@@ -38,9 +40,10 @@ TEST_P(RandomFormulaSuite, NegationComplementsTheSatSet) {
   const core::Mrm model = models::make_random_mrm(GetParam() * 13 + 3, calm_model());
   checker::CheckerOptions options;
   options.uniformization.truncation_probability = 1e-9;
-  checker::ModelChecker checker(model, options);
-  const auto& sat = checker.satisfaction_set(formula);
-  const auto& sat_negated = checker.satisfaction_set(negated);
+  const plan::PlanResult checked =
+      plan::execute(plan::compile(model, {formula, negated}, options), model);
+  const auto& sat = checked.formulas[0].sat;
+  const auto& sat_negated = checked.formulas[1].sat;
   for (std::size_t s = 0; s < model.num_states(); ++s) {
     EXPECT_NE(sat[s], sat_negated[s]) << logic::to_string(formula) << " state " << s;
   }
@@ -53,10 +56,11 @@ TEST_P(RandomFormulaSuite, DisjunctionIsUnionOfSatSets) {
   const core::Mrm model = models::make_random_mrm(GetParam() * 31 + 5, calm_model());
   checker::CheckerOptions options;
   options.uniformization.truncation_probability = 1e-9;
-  checker::ModelChecker checker(model, options);
-  const auto sat_lhs = checker.satisfaction_set(lhs);
-  const auto sat_rhs = checker.satisfaction_set(rhs);
-  const auto& sat = checker.satisfaction_set(disjunction);
+  const plan::PlanResult checked =
+      plan::execute(plan::compile(model, {lhs, rhs, disjunction}, options), model);
+  const auto& sat_lhs = checked.formulas[0].sat;
+  const auto& sat_rhs = checked.formulas[1].sat;
+  const auto& sat = checked.formulas[2].sat;
   for (std::size_t s = 0; s < model.num_states(); ++s) {
     EXPECT_EQ(sat[s], sat_lhs[s] || sat_rhs[s]) << "state " << s;
   }

@@ -6,12 +6,12 @@
 
 #include "checker/absorption.hpp"
 #include "checker/performability.hpp"
-#include "checker/sat.hpp"
 #include "logic/parser.hpp"
 #include "logic/printer.hpp"
 #include "models/mm1k.hpp"
 #include "models/tmr.hpp"
 #include "models/wavelan.hpp"
+#include "plan_check.hpp"
 
 namespace csrlmrm {
 namespace {
@@ -71,14 +71,14 @@ TEST(RewardOperator, RIsStillAnOrdinaryAtomElsewhere) {
 
 TEST(RewardOperator, CumulativeCheckMatchesMeasure) {
   const core::Mrm model = models::make_mm1k({4, 0.7, 1.0, 1.0, 5.0, 2.0});
-  checker::ModelChecker checker(model);
   const double expected = checker::expected_accumulated_reward(model, 0, 5.0);
-  const auto low = logic::parse_formula("R(<=" + std::to_string(expected + 0.01) + ")[C[0,5]]");
-  const auto high = logic::parse_formula("R(<=" + std::to_string(expected - 0.01) + ")[C[0,5]]");
-  EXPECT_TRUE(checker.satisfies(0, low));
-  EXPECT_FALSE(checker.satisfies(0, high));
-  const auto values = checker.expected_rewards(low);
-  EXPECT_NEAR(values[0], expected, 1e-12);
+  const auto low = test::check_one(model, "R(<=" + std::to_string(expected + 0.01) + ")[C[0,5]]");
+  const auto high =
+      test::check_one(model, "R(<=" + std::to_string(expected - 0.01) + ")[C[0,5]]");
+  EXPECT_TRUE(low.sat[0]);
+  EXPECT_FALSE(high.sat[0]);
+  ASSERT_TRUE(low.has_values);
+  EXPECT_NEAR(low.values[0], expected, 1e-12);
 }
 
 TEST(RewardOperator, ReachabilityCheckHandlesInfinity) {
@@ -91,34 +91,35 @@ TEST(RewardOperator, ReachabilityCheckHandlesInfinity) {
   labels.add(1, "goal");
   const core::Mrm model(core::Ctmc(rates.build(), std::move(labels)),
                         std::vector<double>(3, 1.0));
-  checker::ModelChecker checker(model);
-  EXPECT_FALSE(checker.satisfies(0, logic::parse_formula("R(<1000000)[F goal]")));
-  EXPECT_TRUE(checker.satisfies(0, logic::parse_formula("R(>1000000)[F goal]")));
-  EXPECT_TRUE(checker.satisfies(1, logic::parse_formula("R(<=0)[F goal]")));
+  EXPECT_FALSE(test::check_one(model, "R(<1000000)[F goal]").sat[0]);
+  EXPECT_TRUE(test::check_one(model, "R(>1000000)[F goal]").sat[0]);
+  EXPECT_TRUE(test::check_one(model, "R(<=0)[F goal]").sat[1]);
 }
 
 TEST(RewardOperator, LongRunCheckOnTmr) {
   // The TMR's long-run rate sits just above rho(allUp) = 8 (mostly all-up,
   // occasionally degraded, tiny repair-impulse flux).
   const core::Mrm model = models::make_tmr(models::TmrConfig{});
-  checker::ModelChecker checker(model);
-  EXPECT_TRUE(checker.satisfies(0, logic::parse_formula("R(>8)[S]")));
-  EXPECT_TRUE(checker.satisfies(0, logic::parse_formula("R(<8.2)[S]")));
+  EXPECT_TRUE(test::check_one(model, "R(>8)[S]").sat[0]);
+  EXPECT_TRUE(test::check_one(model, "R(<8.2)[S]").sat[0]);
 }
 
 TEST(RewardOperator, NestsInsideBooleanFormulas) {
   const core::Mrm model = models::make_wavelan();
-  checker::ModelChecker checker(model);
   // Long-run power above 100 mW and eventually-busy almost surely.
-  const auto f = logic::parse_formula("R(>100)[S] && P(>=0.99)[TT U busy]");
-  EXPECT_TRUE(checker.satisfies(models::kWavelanIdle, f));
+  const auto f = test::check_one(model, "R(>100)[S] && P(>=0.99)[TT U busy]");
+  EXPECT_TRUE(f.sat[models::kWavelanIdle]);
 }
 
 TEST(RewardOperator, ExpectedRewardsRejectsWrongNode) {
   const core::Mrm model = models::make_wavelan();
-  checker::ModelChecker checker(model);
-  EXPECT_THROW(checker.expected_rewards(logic::parse_formula("busy")),
-               std::invalid_argument);
+  // Expected-reward values belong to R roots only: none for a label, path
+  // probabilities (not reward values) for a P root.
+  EXPECT_FALSE(test::check_one(model, "busy").has_values);
+  EXPECT_FALSE(test::check_one(model, "P(>=0.99)[TT U busy]").has_values);
+  const auto reward = test::check_one(model, "R(>100)[S]");
+  EXPECT_TRUE(reward.has_values);
+  EXPECT_EQ(reward.values.size(), model.num_states());
 }
 
 }  // namespace

@@ -315,6 +315,11 @@ class BannedIdentifierRule : public Rule {
            "atof->strtod, unqualified abs->std::abs, ...)";
   }
   void check(const FileContext& ctx, std::vector<Diagnostic>& out) const override {
+    // The std::sto* family stops at the first bad character and stoul/stoull
+    // accept a leading '-' (wrapping it), so a flag value like `10x` or `-5`
+    // is silently misread; examples/cli_numbers.hpp parses whole tokens.
+    static constexpr std::string_view kHalfParses =
+        "half-parses a suffix and wraps signs; use the strict helper";
     static const std::map<std::string_view, std::string_view> kBanned = {
         {"sprintf", "unbounded write; use snprintf or std::string"},
         {"strcpy", "unbounded write; use std::string"},
@@ -327,6 +332,13 @@ class BannedIdentifierRule : public Rule {
         {"random_shuffle", "removed in C++17; use std::shuffle"},
         {"setjmp", "skips destructors; use exceptions"},
         {"longjmp", "skips destructors; use exceptions"},
+        {"stoull", kHalfParses},
+        {"stoul", kHalfParses},
+        {"stoi", kHalfParses},
+        {"stol", kHalfParses},
+        {"stoll", kHalfParses},
+        {"stod", kHalfParses},
+        {"stof", kHalfParses},
     };
     const auto& toks = ctx.tokens();
     for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
