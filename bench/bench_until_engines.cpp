@@ -11,8 +11,7 @@
 //            tests/dfpg_oracle.hpp);
 //   classdp  ONE signature-class DP frontier sweep answering every start
 //            (class_explorer.hpp, multi-start batching) with the adaptive
-//            coarsen/DFS-hand-off hybrid — the checker's one uniformization
-//            engine.
+//            DFS hand-off — the checker's one uniformization engine.
 //
 // All engine inputs (model construction, formula satisfaction sets, the
 // absorbing transform, engine construction with its signature classification)
@@ -26,7 +25,7 @@
 // wall_clock_speedup = dfpg / classdp, the method checker::choose_until_method
 // picks, omega.evaluations (the conditional-probability calls of eq. 4.9 —
 // the quantity the signature-class merge and the (k, r') grouping are
-// designed to shrink), the classdp frontier/merge/escalation counters, the
+// designed to shrink), the classdp frontier and hand-off counters, the
 // maximum cross-engine disagreement in excess of the combined error bounds
 // (expected 0: the engines bracket the same exact value), and the maximum
 // deviation of the classdp lane across 1/2/8 worker threads (expected 0: the
@@ -101,7 +100,6 @@ struct Record {
   double trivial_classdp = 0.0;
   double nodes_dfpg = 0.0;
   double nodes_classdp = 0.0;
-  double coarsenings = 0.0;
   double handoffs = 0.0;
   double agreement_excess = 0.0;  // max(|p_d - p_c| - (e_d + e_c), 0) over starts
   double thread_determinism_diff = 0.0;
@@ -155,12 +153,11 @@ Record run_workload(const Workload& workload) {
   record.trivial_classdp = counter_of(run_classdp, "classdp.trivial_folds");
   record.nodes_dfpg = counter_of(run_dfpg, "uniformization.nodes_expanded");
   record.nodes_classdp = counter_of(run_classdp, "classdp.nodes_expanded");
-  record.coarsenings = counter_of(run_classdp, "classdp.coarsenings");
   record.handoffs = counter_of(run_classdp, "classdp.hybrid_handoffs");
 
   // Cross-engine agreement: both engines report p with p <= p_exact <=
   // p + error_bound, so the probabilities must agree within the summed
-  // bounds — the hybrid's coarsening/hand-off only reroutes work inside the
+  // bounds — the hybrid's hand-off only reroutes work inside the
   // same accounting.
   const auto classdp = experiment.classdp_batch(starts, workload.t, workload.r, workload.w);
   for (std::size_t i = 0; i < starts.size(); ++i) {
@@ -208,7 +205,6 @@ void print_record(std::FILE* out, const Record& record, bool last) {
   std::fprintf(out, "      \"classdp_trivial_omega_folds\": %.0f,\n", record.trivial_classdp);
   std::fprintf(out, "      \"dfs_nodes_expanded\": %.0f,\n", record.nodes_dfpg);
   std::fprintf(out, "      \"classdp_frontier_classes\": %.0f,\n", record.nodes_classdp);
-  std::fprintf(out, "      \"classdp_coarsenings\": %.0f,\n", record.coarsenings);
   std::fprintf(out, "      \"classdp_hybrid_handoffs\": %.0f,\n", record.handoffs);
   std::fprintf(out, "      \"agreement_excess_over_error_bounds\": %.3e,\n",
                record.agreement_excess);

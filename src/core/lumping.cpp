@@ -55,7 +55,7 @@ Lumping compute_lumping(const Mrm& model) {
     lumping.num_blocks = assign_blocks(keys, lumping.block_of);
   }
 
-  // Refinement to the coarsest partition stable under outgoing
+  // Refinement to the partition with the fewest blocks stable under outgoing
   // (target-block, impulse, aggregate-rate) signatures, with the extra
   // representability constraint that no merged state keeps an
   // impulse-carrying edge inside its own block (such an edge would have to

@@ -3,7 +3,7 @@
 // Two states may share a block only if they agree on (a) label set, (b)
 // state reward, and (c) for every block B, the multiset of (aggregate rate
 // into B, impulse value) pairs of their transitions — refined iteratively to
-// the coarsest fixed point. The (c) condition groups each state's
+// the fixed point with the fewest blocks. The (c) condition groups each state's
 // transitions into a block by impulse value: this is stronger than plain
 // CTMC lumpability but is exactly what preserves the joint distribution of
 // (state process, accumulated reward) — and hence every CSRL formula — under

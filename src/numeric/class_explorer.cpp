@@ -29,7 +29,7 @@ constexpr double kMaxPrefixCount = 1e300;
 /// workloads with tiny frontiers (e.g. TMR-deep, < 500 rows/level at fold
 /// ratios ~0.98) still win 30x+ from merging because the *early* levels
 /// merged, so a pure ratio test would misfire. kAdaptStreak consecutive
-/// ineffective levels fire the escalation: coarsen once, then hand off.
+/// ineffective levels hand the frontier off to the depth-first continuation.
 /// Constants calibrated on the committed BENCH workloads (the NMR rows peak
 /// at ~1e5 raw rows/level with fold ratios 0.72..1.0 from level 5 on; firing
 /// before the frontier peak is what makes the hybrid beat a per-start DFS,
@@ -40,8 +40,8 @@ constexpr std::size_t kAdaptRatioDen = 10;
 constexpr std::size_t kAdaptStreak = 2;
 
 /// A double stored bitwise in two signature words (hi word first, so
-/// lexicographic word order is deterministic per value). Used for the
-/// coarsened impulse total and for the harvested threshold r'.
+/// lexicographic word order is deterministic per value): the harvested
+/// threshold r'.
 void store_double_bits(double v, std::uint32_t* out) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof bits);
@@ -216,21 +216,11 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
 
   const double mean = sig_.uniformized.lambda() * t;
   const double w = options.truncation_probability;
-  const auto poisson_tail =
-      PoissonTailCache::global().table(mean, poisson_truncation_point(mean, w) + 2);
 
   const std::size_t num_k = sig_.distinct_state_rewards.size();
   const std::size_t num_j = sig_.distinct_impulse_rewards.size();
-  const std::vector<double>& impulse_values = sig_.distinct_impulse_rewards;
-  // The frontier signature starts exact — (k counts ++ j counts) — and may be
-  // coarsened mid-run to (k counts ++ 2 words of snapped impulse total) when
-  // the adaptive trigger fires. Both layouts answer the same question: the
-  // conditional probability of eq. (4.9) depends on j only through the
-  // threshold r', which is a function of the impulse total alone.
-  const std::size_t exact_len = num_k + num_j;
-  const std::size_t coarse_len = num_k + 2;
-  std::size_t sig_len = exact_len;
-  bool coarse = false;
+  // The frontier signature of a class: its k counts ++ its j counts.
+  const std::size_t sig_len = num_k + num_j;
   RewardStructureContext context(sig_.distinct_state_rewards, sig_.distinct_impulse_rewards);
 
   // Level-0 frontier: one class per live start (k = 1_[rho(start)], j = 0,
@@ -264,12 +254,11 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
   // level and folded once after the sweep. Appending beats a per-level map
   // insert by a wide margin on deep runs; the final fold sorts stably, so
   // contributions for one row key are still summed in ascending append
-  // (= level) order. Every harvest row has the uniform layout
+  // (= level) order. Every harvest row has the layout
   //   k counts ++ 2 words of canonical r' bits        (width hwid)
-  // with r' computed at harvest time from whichever frontier encoding is
-  // current — so rows harvested before and after a mid-run coarsening fold
-  // together, and the final fold groups by (k, canonical r') directly, which
-  // is the exact granularity at which Omega evaluations differ.
+  // with r' computed at harvest time from the class's j counts, so the final
+  // fold groups by (k, canonical r') directly, which is the exact
+  // granularity at which Omega evaluations differ.
   const std::size_t hwid = num_k + 2;
   std::vector<std::uint32_t> harvest_sigs;
   std::vector<double> harvest_mass;
@@ -280,11 +269,49 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
   std::size_t levels = 0;
   std::size_t frontier_peak = 0;
   std::size_t max_depth = 0;
-  std::size_t coarsenings = 0;
-  std::size_t handoffs = 0;
   std::size_t ineffective_streak = 0;
   bool handoff = false;
   std::size_t handoff_level = 0;
+  std::size_t signature_classes = 0;
+  std::size_t conditional_evals = 0;
+  std::size_t trivial = 0;
+
+  // Copies the run's diagnostics into every result and the stats registry.
+  const auto publish = [&] {
+    for (UntilUniformizationResult& result : results) {
+      result.paths_stored = stored;
+      result.paths_truncated = truncated;
+      result.signature_classes = signature_classes;
+      result.nodes_expanded = nodes;
+      result.max_depth = max_depth;
+    }
+    obs::counter_add("classdp.levels", levels);
+    obs::counter_add("classdp.nodes_expanded", nodes);
+    obs::counter_add("classdp.classes_merged", classes_merged);
+    obs::counter_add("classdp.conditional_evals", conditional_evals);
+    obs::counter_add("classdp.trivial_folds", trivial);
+    obs::counter_add("classdp.hybrid_handoffs", handoff ? 1 : 0);
+    obs::gauge_max("classdp.frontier_peak", static_cast<double>(frontier_peak));
+  };
+
+  // Every live slot enters level 0 with weight and count 1, so when
+  // PoissonPmf(0) = e^{-Lambda t} < w the level-0 prune cuts them all, each
+  // with its whole mass in the error bound (Pr{ N >= 0 } = 1), and the sweep
+  // ends there. Answer that before building the Poisson table, whose size is
+  // linear in Lambda t: this cut is the large-Lambda t case. Past the guard
+  // Lambda t <= -ln w, so the table stays small (~2k entries at w = 1e-300).
+  if (poisson_pmf(0, mean) < w) {
+    levels = frontier.empty() ? 0 : 1;
+    frontier_peak = frontier.size();
+    for (std::size_t i = 0; i < slots; ++i) {
+      if (sig_.dead[starts[i]]) continue;
+      ++truncated;
+      results[i].error_bound = 1.0;
+    }
+    publish();
+    return results;
+  }
+  const PoissonTable poisson(mean);
 
   SpacingCounts j_scratch(num_j);
   const auto append_harvest = [&](const std::uint32_t* sig_row, double pmf,
@@ -294,14 +321,8 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
     harvest_sigs.resize(base + hwid);
     std::uint32_t* out = harvest_sigs.data() + base;
     std::copy_n(sig_row, num_k, out);
-    double r_prime = 0.0;
-    if (coarse) {
-      r_prime = context.threshold_for_total(load_double_bits(sig_row + num_k), t, r);
-    } else {
-      j_scratch.assign(sig_row + num_k, sig_row + num_k + num_j);
-      r_prime = context.threshold(j_scratch, t, r);
-    }
-    store_double_bits(canonical_threshold(r_prime), out + num_k);
+    j_scratch.assign(sig_row + num_k, sig_row + num_k + num_j);
+    store_double_bits(canonical_threshold(context.threshold(j_scratch, t, r)), out + num_k);
     for (std::size_t i = 0; i < slots; ++i) harvest_mass.push_back(pmf * weight_row[i]);
   };
 
@@ -318,8 +339,8 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
     // class alive as long as its total merged mass clears w. Cut mass moves
     // into the error bound, weighted by the Poisson tail Pr{ N >= level }
     // (eq. 4.6), exactly as in the per-path rule.
-    const double pmf = poisson_pmf(level, mean);
-    const double tail = poisson_tail->tail(level);
+    const double pmf = poisson.pmf(level);
+    const double tail = poisson.tail(level);
     std::size_t write = 0;
     for (std::size_t idx = 0; idx < frontier.size(); ++idx) {
       bool live = false;
@@ -381,18 +402,7 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
                       sig_len,
                       scratch_raw.sigs.begin() + static_cast<std::ptrdiff_t>(out * sig_len));
           ++scratch_raw.sigs[out * sig_len + sig_.reward_class[edge.target]];
-          if (!coarse) {
-            ++scratch_raw.sigs[out * sig_len + num_k + edge.impulse_class];
-          } else if (!core::exactly_zero(impulse_values[edge.impulse_class])) {
-            // Coarse mode folds the impulse into a snapped running total;
-            // each addition re-snaps, so equal totals reached along
-            // different orders keep one representative (<= 2^-41 relative
-            // perturbation per transition, see canonical_threshold).
-            std::uint32_t* total_bits = scratch_raw.sigs.data() + out * sig_len + num_k;
-            store_double_bits(canonical_threshold(load_double_bits(total_bits) +
-                                                  impulse_values[edge.impulse_class]),
-                              total_bits);
-          }
+          ++scratch_raw.sigs[out * sig_len + num_k + edge.impulse_class];
           for (std::size_t i = 0; i < slots; ++i) {
             scratch_raw.weights[out * slots + i] =
                 frontier.weights[idx * slots + i] * edge.probability;
@@ -413,47 +423,16 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
           total >= kAdaptMinRawRows && frontier.size() * kAdaptRatioDen >= total * kAdaptRatioNum;
       ineffective_streak = ineffective ? ineffective_streak + 1 : 0;
       if (ineffective_streak >= kAdaptStreak) {
-        if (!coarse && num_j > 1) {
-          // First escalation: re-encode the frontier with snapped impulse
-          // totals and refold — distinct j vectors with equal totals (the
-          // common case late in a run, when most paths have accrued the same
-          // few impulses in different orders) collapse to one class.
-          const std::size_t rows = frontier.size();
-          scratch_raw.resize(rows, coarse_len, slots);
-          for (std::size_t idx = 0; idx < rows; ++idx) {
-            scratch_raw.states[idx] = frontier.states[idx];
-            const std::uint32_t* src = frontier.sigs.data() + idx * sig_len;
-            std::uint32_t* dst = scratch_raw.sigs.data() + idx * coarse_len;
-            std::copy_n(src, num_k, dst);
-            double total_impulse = 0.0;
-            for (std::size_t c = 0; c < num_j; ++c) {
-              total_impulse += impulse_values[c] * static_cast<double>(src[num_k + c]);
-            }
-            store_double_bits(canonical_threshold(total_impulse), dst + num_k);
-          }
-          std::copy(frontier.weights.begin(), frontier.weights.end(),
-                    scratch_raw.weights.begin());
-          std::copy(frontier.counts.begin(), frontier.counts.end(),
-                    scratch_raw.counts.begin());
-          sig_len = coarse_len;
-          coarse = true;
-          ++coarsenings;
-          classes_merged += sort_and_fold(scratch_raw, scratch_merged, sig_len, slots, order);
-          frontier.swap(scratch_merged);
-          // One more ineffective level (not a fresh streak) escalates again.
-          ineffective_streak = kAdaptStreak - 1;
-        } else {
-          // Second escalation: stop merging altogether and hand the frontier
-          // (level `level + 1` rows) to the depth-first continuation below.
-          handoff = true;
-          handoff_level = level + 1;
-          break;
-        }
+        // Stop merging altogether and hand the frontier (level `level + 1`
+        // rows) to the depth-first continuation below.
+        handoff = true;
+        handoff_level = level + 1;
+        break;
       }
     }
   }
 
-  // Depth-first continuation (second adaptive escalation): when merging has
+  // Depth-first continuation (the adaptive escalation): when merging has
   // stopped paying, expanding the remaining frontier breadth-first only
   // buys sort-and-fold overhead on rows that will not collide. Finish each
   // surviving class with a plain DFS — identical prune, budget, error and
@@ -470,13 +449,7 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
   // per-chunk work and the combination order are all thread-invariant, so
   // results stay bitwise identical at every thread count.
   if (handoff) {
-    ++handoffs;
     const std::size_t roots = frontier.size();
-    // Poisson pmf per level over the tail table's range (bitwise the same
-    // values as the sweep's per-level poisson_pmf calls); the rare deeper
-    // probe falls back to a direct call.
-    const std::vector<double> pmf_by_level =
-        poisson_pmf_sequence(poisson_tail->table_size() - 1, mean);
 
     struct ChunkState {
       std::vector<std::uint32_t> harvest_sigs;
@@ -509,7 +482,6 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
         std::size_t edge_index;
         std::uint32_t k_class;
         std::uint32_t j_class;
-        std::uint32_t saved_total[2];
       };
       std::vector<DfsFrame> frames;
       std::vector<std::uint32_t> sig(sig_len);
@@ -517,13 +489,10 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
       std::vector<double> c_stack(slots);
       SpacingCounts j_local(num_j);
 
-      const auto pmf_at = [&](std::size_t level) {
-        return level < pmf_by_level.size() ? pmf_by_level[level] : poisson_pmf(level, mean);
-      };
       const auto enter_node = [&](std::size_t frame_depth, core::StateIndex state) {
         const std::size_t level = handoff_level + frame_depth;
-        const double pmf = pmf_at(level);
-        const double tail = poisson_tail->tail(level);
+        const double pmf = poisson.pmf(level);
+        const double tail = poisson.tail(level);
         double* wrow = w_stack.data() + frame_depth * slots;
         double* crow = c_stack.data() + frame_depth * slots;
         bool live = false;
@@ -553,26 +522,15 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
           cs.harvest_sigs.resize(base + hwid);
           std::uint32_t* out = cs.harvest_sigs.data() + base;
           std::copy_n(sig.data(), num_k, out);
-          double r_prime = 0.0;
-          if (coarse) {
-            r_prime = context.threshold_for_total(load_double_bits(sig.data() + num_k), t, r);
-          } else {
-            j_local.assign(sig.begin() + static_cast<std::ptrdiff_t>(num_k), sig.end());
-            r_prime = context.threshold(j_local, t, r);
-          }
-          store_double_bits(canonical_threshold(r_prime), out + num_k);
+          j_local.assign(sig.begin() + static_cast<std::ptrdiff_t>(num_k), sig.end());
+          store_double_bits(canonical_threshold(context.threshold(j_local, t, r)), out + num_k);
           for (std::size_t i = 0; i < slots; ++i) cs.harvest_mass.push_back(pmf * wrow[i]);
         }
         return true;
       };
       const auto undo_sig = [&](const DfsFrame& frame) {
         --sig[frame.k_class];
-        if (!coarse) {
-          --sig[num_k + frame.j_class];
-        } else {
-          sig[num_k] = frame.saved_total[0];
-          sig[num_k + 1] = frame.saved_total[1];
-        }
+        --sig[num_k + frame.j_class];
       };
 
       for (std::size_t row = row_begin; row < row_end && !cs.overflow; ++row) {
@@ -584,7 +542,7 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
                     c_stack.begin());
         if (!enter_node(0, frontier.states[row])) continue;
         frames.clear();
-        frames.push_back({frontier.states[row], 0, 0, 0, {0, 0}});
+        frames.push_back({frontier.states[row], 0, 0, 0});
         while (!frames.empty() && !cs.overflow) {
           const std::size_t depth = frames.size() - 1;
           const std::vector<SignatureTransition>& edges = live_adjacency_[frames.back().state];
@@ -603,21 +561,11 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
                             w_stack.data() + depth * slots, slots, edge.probability);
           std::copy_n(c_stack.begin() + static_cast<std::ptrdiff_t>(depth * slots), slots,
                       c_stack.begin() + static_cast<std::ptrdiff_t>(child_depth * slots));
-          DfsFrame child{edge.target, 0,
-                         static_cast<std::uint32_t>(sig_.reward_class[edge.target]), 0, {0, 0}};
+          const DfsFrame child{edge.target, 0,
+                               static_cast<std::uint32_t>(sig_.reward_class[edge.target]),
+                               static_cast<std::uint32_t>(edge.impulse_class)};
           ++sig[child.k_class];
-          if (!coarse) {
-            child.j_class = static_cast<std::uint32_t>(edge.impulse_class);
-            ++sig[num_k + child.j_class];
-          } else {
-            child.saved_total[0] = sig[num_k];
-            child.saved_total[1] = sig[num_k + 1];
-            if (!core::exactly_zero(impulse_values[edge.impulse_class])) {
-              store_double_bits(canonical_threshold(load_double_bits(sig.data() + num_k) +
-                                                    impulse_values[edge.impulse_class]),
-                                sig.data() + num_k);
-            }
-          }
+          ++sig[num_k + child.j_class];
           if (enter_node(child_depth, edge.target)) {
             frames.push_back(child);
           } else {
@@ -676,9 +624,6 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
   // d_i <= r') without building or querying an evaluator; only non-trivial
   // groups pay for an Omega evaluation.
   const std::vector<double>& spans = context.coefficients();
-  std::size_t signature_classes = 0;
-  std::size_t conditional_evals = 0;
-  std::size_t trivial = 0;
   SpacingCounts k_counts(num_k);
   for (std::size_t i = 0; i < harvest_rows; ++signature_classes) {
     const std::uint32_t lead = order[i];
@@ -717,22 +662,7 @@ std::vector<UntilUniformizationResult> SignatureClassUntilEngine::compute_batch(
     }
   }
 
-  for (UntilUniformizationResult& result : results) {
-    result.paths_stored = stored;
-    result.paths_truncated = truncated;
-    result.signature_classes = signature_classes;
-    result.nodes_expanded = nodes;
-    result.max_depth = max_depth;
-  }
-
-  obs::counter_add("classdp.levels", levels);
-  obs::counter_add("classdp.nodes_expanded", nodes);
-  obs::counter_add("classdp.classes_merged", classes_merged);
-  obs::counter_add("classdp.conditional_evals", conditional_evals);
-  obs::counter_add("classdp.trivial_folds", trivial);
-  obs::counter_add("classdp.coarsenings", coarsenings);
-  obs::counter_add("classdp.hybrid_handoffs", handoffs);
-  obs::gauge_max("classdp.frontier_peak", static_cast<double>(frontier_peak));
+  publish();
   return results;
 }
 

@@ -46,21 +46,20 @@
 // Adaptive hybrid: merging is only worth the per-level sort when classes
 // actually collide. The engine tracks the fold ratio per level and, after
 // two consecutive large levels where folding kept >= 7/10 of the raw rows,
-// escalates in two steps:
-//   1. coarsen — replace the per-class impulse counts j by the 40-bit-snapped
-//      impulse total sum_i i_i j_i (the conditional probability of eq. 4.9
-//      depends on j only through that total via the threshold r'; snapping
-//      is the same canonical_threshold representative used for evaluator
-//      caching, so distinct j vectors with equal totals merge);
-//   2. hand off — finish every remaining class with a depth-first
-//      continuation (identical prune/budget/error/harvest semantics, no
-//      further merge attempts), run once for the whole batch.
-// Both escalations preserve thread-count determinism (the trigger sees
-// thread-invariant row counts; the continuation is chunked in a fixed
-// layout). A batch is bitwise equal to the corresponding single-start runs
-// as long as no level reaches the trigger's row floor; past it the trigger
-// sees different frontier sizes and may fire at a different level.
-// Observability: "classdp.coarsenings", "classdp.hybrid_handoffs".
+// hands off: it finishes every remaining class with a depth-first
+// continuation (identical prune/budget/error/harvest semantics, no further
+// merge attempts), run once for the whole batch. The hand-off preserves
+// thread-count determinism (the trigger sees thread-invariant row counts;
+// the continuation is chunked in a fixed layout). A batch is bitwise equal
+// to the corresponding single-start runs as long as no level reaches the
+// trigger's row floor; past it the trigger sees different frontier sizes and
+// may fire at a different level.
+//
+// Poisson weights come from one per-solve PoissonTable. When e^{-Lambda t}
+// < w the level-0 prune cuts every start, and the engine returns that exact
+// answer (p = 0, error bound 1) without building the table, whose size is
+// linear in Lambda t.
+// Observability: "classdp.hybrid_handoffs".
 #pragma once
 
 #include <cstddef>

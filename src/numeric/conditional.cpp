@@ -106,15 +106,6 @@ double RewardStructureContext::threshold(const SpacingCounts& j, double t, doubl
   for (std::size_t i = 0; i < j.size(); ++i) {
     impulse_total += impulse_rewards_[i] * static_cast<double>(j[i]);
   }
-  return threshold_for_total(impulse_total, t, r);
-}
-
-double RewardStructureContext::threshold_for_total(double impulse_total, double t,
-                                                   double r) const {
-  if (!(t > 0.0)) throw std::invalid_argument("RewardStructureContext: t must be positive");
-  if (!std::isfinite(r) || r < 0.0) {
-    throw std::invalid_argument("RewardStructureContext: reward bound must be finite and >= 0");
-  }
   return r / t - state_rewards_.back() - impulse_total / t;
 }
 

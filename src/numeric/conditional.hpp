@@ -117,12 +117,6 @@ class RewardStructureContext {
   /// The threshold r' = r/t - r_{K+1} - (1/t) sum_i i_i j_i of eq. (4.9).
   double threshold(const SpacingCounts& j, double t, double r) const;
 
-  /// As threshold(), but with the impulse total sum_i i_i j_i already
-  /// accumulated — the coarsened signature encoding of the class DP engine
-  /// carries that total directly instead of per-class counts. Matches
-  /// threshold() bitwise for equal totals.
-  double threshold_for_total(double impulse_total, double t, double r) const;
-
   /// The Omega coefficients d_i = r_i - r_{K+1} (descending, last entry 0).
   /// Exposed so callers can replicate the recursion's trivial base cases —
   /// Omega = 1 when no class with k_i > 0 has d_i > r', Omega = 0 when none

@@ -83,7 +83,7 @@ Grid make_grid(const core::Mrm& transformed, double t, double r,
   grid.step = d;
   grid.max_exit = transformed.rates().max_exit_rate();
   if (grid.max_exit * d >= 1.0) {
-    throw std::invalid_argument("discretization: step too coarse (d * max exit rate = " +
+    throw std::invalid_argument("discretization: step too large (d * max exit rate = " +
                                 std::to_string(grid.max_exit * d) + " >= 1); choose d < " +
                                 std::to_string(1.0 / grid.max_exit));
   }
@@ -113,7 +113,7 @@ Grid make_grid(const core::Mrm& transformed, double t, double r,
         "discretization: reward grid of " + std::to_string(n) + " states x " +
         std::to_string(levels_estimate) +
         " levels exceeds max_grid_cells = " + std::to_string(options.max_grid_cells) +
-        "; choose a coarser step d, a smaller reward bound r, or the uniformization engine");
+        "; choose a larger step d, a smaller reward bound r, or the uniformization engine");
   }
   grid.levels = static_cast<std::size_t>(levels_estimate);
   return grid;

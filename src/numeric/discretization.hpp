@@ -54,7 +54,7 @@ struct DiscretizationOptions {
   /// allocated). A large reward bound r or a tiny step d would otherwise
   /// silently attempt a multi-gigabyte allocation and die with bad_alloc;
   /// instead the engine raises std::invalid_argument with the offending
-  /// sizes and the remedies (coarser d, smaller r, or the uniformization
+  /// sizes and the remedies (larger d, smaller r, or the uniformization
   /// engine). The default (64M cells = 512 MiB per buffer) is far above any
   /// practical configuration.
   std::size_t max_grid_cells = 64ull * 1024 * 1024;

@@ -6,7 +6,6 @@
 
 #include "core/approx.hpp"
 #include "core/simd.hpp"
-#include "obs/stats.hpp"
 
 namespace csrlmrm::numeric {
 
@@ -32,26 +31,12 @@ double log_gamma(double x) {
 }
 
 // Index past which Poisson mass is negligible for any tolerance the engines
-// use; poisson_truncation_point bounds its scan with the same expression, and
-// PoissonTailCache sizes its tables to it so tail() queries never leave the
-// precomputed range.
+// use; poisson_truncation_point bounds its scan with it, and PoissonTable
+// covers it (plus two) so tail() queries never leave the precomputed range.
 std::size_t poisson_hard_cap(double mean) {
   return static_cast<std::size_t>(mean + 40.0 * std::sqrt(mean + 1.0)) + 64;
 }
 
-// The masses Pr{N = 0}..Pr{N = count-1} for a strictly positive mean, via a
-// two-pass log-domain fill: the affine part dn*log(mean) - mean is
-// vectorized (core::simd::fill_affine matches poisson_pmf's
-// `dn * std::log(mean) - mean` bit for bit, since x + (-m) == x - m in IEEE
-// arithmetic), then a scalar lgamma/exp pass. Each entry equals
-// poisson_pmf(i, mean) exactly.
-void fill_poisson_masses(std::vector<double>& mass, std::size_t count, double mean) {
-  mass.resize(count);
-  core::simd::fill_affine(mass.data(), count, 0, std::log(mean), -mean);
-  for (std::size_t i = 0; i < count; ++i) {
-    mass[i] = std::exp(mass[i] - log_gamma(static_cast<double>(i) + 1.0));
-  }
-}
 }  // namespace
 
 double poisson_pmf(std::size_t n, double mean) {
@@ -70,13 +55,20 @@ double poisson_cdf(std::size_t n, double mean) {
 
 std::vector<double> poisson_pmf_sequence(std::size_t n_max, double mean) {
   require_valid_mean(mean);
-  std::vector<double> pmf;
-  if (core::exactly_zero(mean)) {
-    pmf.assign(n_max + 1, 0.0);
+  std::vector<double> pmf(n_max + 1, 0.0);
+  if (core::exactly_zero(mean)) {  // point mass at 0; the log-domain fill would form 0*log(0)
     pmf[0] = 1.0;
     return pmf;
   }
-  fill_poisson_masses(pmf, n_max + 1, mean);
+  // Two-pass log-domain fill: the affine part n*log(mean) - mean is
+  // vectorized (core::simd::fill_affine matches poisson_pmf's
+  // `dn * std::log(mean) - mean` bit for bit, since x + (-m) == x - m in IEEE
+  // arithmetic), then a scalar lgamma/exp pass, so each entry equals
+  // poisson_pmf(i, mean) exactly.
+  core::simd::fill_affine(pmf.data(), pmf.size(), 0, std::log(mean), -mean);
+  for (std::size_t i = 0; i < pmf.size(); ++i) {
+    pmf[i] = std::exp(pmf[i] - log_gamma(static_cast<double>(i) + 1.0));
+  }
   return pmf;
 }
 
@@ -97,89 +89,30 @@ std::size_t poisson_truncation_point(double mean, double epsilon) {
   }
 }
 
-PoissonCdfTable::PoissonCdfTable(double mean) : mean_(mean) {
+PoissonTable::PoissonTable(double mean) : mean_(mean) {
   require_valid_mean(mean);
-  cdf_.push_back(poisson_pmf(0, mean_));
+  mass_ = poisson_pmf_sequence(poisson_hard_cap(mean) + 2, mean);
+  cdf_.resize(mass_.size());
+  cdf_[0] = mass_[0];
+  for (std::size_t i = 1; i < cdf_.size(); ++i) cdf_[i] = std::min(cdf_[i - 1] + mass_[i], 1.0);
 }
 
-double PoissonCdfTable::cdf(std::size_t n) {
-  while (cdf_.size() <= n) {
-    const std::size_t i = cdf_.size();
-    cdf_.push_back(std::min(cdf_.back() + poisson_pmf(i, mean_), 1.0));
-  }
-  return cdf_[n];
+double PoissonTable::pmf(std::size_t n) const {
+  return n < mass_.size() ? mass_[n] : poisson_pmf(n, mean_);
 }
 
-double PoissonCdfTable::tail(std::size_t n) {
-  if (n == 0) return 1.0;
-  return std::max(0.0, 1.0 - cdf(n - 1));
-}
-
-SharedPoissonTail::SharedPoissonTail(double mean, std::size_t n_max) : mean_(mean) {
-  require_valid_mean(mean);
-  const std::size_t count = n_max + 1;
-  if (core::exactly_zero(mean_)) {  // point mass at 0; log-domain fill would form 0*log(0)
-    cdf_.assign(count, 1.0);
-    return;
-  }
-  // Vectorized mass fill, then the same sequential clamped prefix sum
-  // PoissonCdfTable uses — the two table forms agree bitwise on the covered
-  // range.
-  std::vector<double> mass;
-  fill_poisson_masses(mass, count, mean_);
-  cdf_.resize(count);
-  cdf_[0] = mass[0];
-  for (std::size_t i = 1; i < count; ++i) cdf_[i] = std::min(cdf_[i - 1] + mass[i], 1.0);
-}
-
-double SharedPoissonTail::cdf(std::size_t n) const {
+double PoissonTable::cdf(std::size_t n) const {
   if (n < cdf_.size()) return cdf_[n];
-  // Beyond the precomputed range (possible only when the caller's sizing
-  // hint was too small): sum the remaining masses on the fly. No mutation,
-  // so concurrent readers stay race-free.
+  // Past the cap the remaining masses are summed on the fly, without
+  // mutation, so concurrent readers stay race-free.
   double acc = cdf_.back();
   for (std::size_t i = cdf_.size(); i <= n; ++i) acc += poisson_pmf(i, mean_);
   return std::min(acc, 1.0);
 }
 
-double SharedPoissonTail::tail(std::size_t n) const {
+double PoissonTable::tail(std::size_t n) const {
   if (n == 0) return 1.0;
   return std::max(0.0, 1.0 - cdf(n - 1));
-}
-
-PoissonTailCache& PoissonTailCache::global() {
-  static PoissonTailCache cache;
-  return cache;
-}
-
-std::shared_ptr<const SharedPoissonTail> PoissonTailCache::table(double mean,
-                                                                std::size_t n_max) const {
-  require_valid_mean(mean);
-  // Build out to the hard truncation cap regardless of the caller's hint:
-  // the explorers query tail() at every depth they visit, and depths past
-  // the caller's truncation point would otherwise fall into
-  // SharedPoissonTail::cdf's per-call summation fallback on every query.
-  const std::size_t sized = std::max(n_max, poisson_hard_cap(mean) + 2);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++tick_;
-  for (auto& slot : tables_) {
-    if (!core::exactly_equal(slot.table->mean(), mean)) continue;
-    slot.last_use = tick_;
-    if (slot.table->table_size() > sized) return slot.table;
-    slot.table = std::make_shared<const SharedPoissonTail>(mean, sized);
-    return slot.table;
-  }
-  if (tables_.size() >= kCapacity) {
-    std::size_t victim = 0;
-    for (std::size_t i = 1; i < tables_.size(); ++i) {
-      if (tables_[i].last_use < tables_[victim].last_use) victim = i;
-    }
-    tables_.erase(tables_.begin() + static_cast<std::ptrdiff_t>(victim));
-    obs::counter_add("poisson.tail_cache_evictions");
-  }
-  tables_.push_back(Slot{std::make_shared<const SharedPoissonTail>(mean, sized), tick_});
-  obs::gauge_max("poisson.tail_cache_occupancy", tables_.size());
-  return tables_.back().table;
 }
 
 }  // namespace csrlmrm::numeric

@@ -9,9 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 namespace csrlmrm::numeric {
@@ -30,92 +27,32 @@ std::vector<double> poisson_pmf_sequence(std::size_t n_max, double mean);
 /// point for a uniformization sum with error tolerance epsilon in (0,1).
 std::size_t poisson_truncation_point(double mean, double epsilon);
 
-/// Incrementally extensible Poisson CDF table for one fixed mean; the path
-/// explorer uses it to evaluate tail probabilities 1 - Pr{N <= n-1} for the
-/// truncated-path error bound (eq. 4.6) without recomputing prefixes.
-class PoissonCdfTable {
+/// Immutable Poisson table for one fixed mean: the masses Pr{N = n} and the
+/// CDF Pr{N <= n} for n = 0 .. cap + 2, where cap = mean + 40 sqrt(mean + 1)
+/// + 64 is where poisson_truncation_point stops scanning. One table serves
+/// a whole solve — the uniformization sweep's per-level masses, its eq. (4.6)
+/// tails and the accumulated-reward series weights — and is safe to share
+/// across threads without synchronization. Its size is linear in the mean,
+/// so the class-DP engine builds one only past its exact level-0 cut
+/// (mean <= -ln w).
+class PoissonTable {
  public:
-  explicit PoissonCdfTable(double mean);
+  explicit PoissonTable(double mean);
 
-  double mean() const { return mean_; }
+  /// Number of tabulated entries (cap + 3).
+  std::size_t size() const { return cdf_.size(); }
 
-  /// Pr{N <= n}; extends the internal table on demand.
-  double cdf(std::size_t n);
-
-  /// Pr{N >= n} = 1 - Pr{N <= n-1}; tail(0) = 1.
-  double tail(std::size_t n);
-
- private:
-  double mean_;
-  std::vector<double> cdf_;  // cdf_[i] = Pr{N <= i}
-};
-
-/// Immutable Poisson CDF/tail table for one fixed mean, safe to share across
-/// threads without synchronization. Entries 0..n_max are precomputed with
-/// exactly the accumulation PoissonCdfTable uses (so the two forms agree
-/// bitwise on the covered range); queries beyond the table fall back to
-/// direct summation without mutating any state.
-class SharedPoissonTail {
- public:
-  SharedPoissonTail(double mean, std::size_t n_max);
-
-  double mean() const { return mean_; }
-  std::size_t table_size() const { return cdf_.size(); }
-
-  /// Pr{N <= n}.
+  /// Pr{N = n}, bitwise equal to poisson_pmf(n, mean).
+  double pmf(std::size_t n) const;
+  /// Pr{N <= n}: the clamped running sum min(cdf(n-1) + pmf(n), 1).
   double cdf(std::size_t n) const;
-  /// Pr{N >= n} = 1 - Pr{N <= n-1}; tail(0) = 1.
+  /// Pr{N >= n} = max(0, 1 - cdf(n-1)); tail(0) = 1.
   double tail(std::size_t n) const;
 
  private:
   double mean_;
-  std::vector<double> cdf_;  // cdf_[i] = Pr{N <= i}
-};
-
-/// Thread-safe per-mean cache of SharedPoissonTail tables. The checker's
-/// per-state Until fan-out issues one engine query per start state with the
-/// identical mean Lambda*t; before this cache each query rebuilt the same
-/// CDF table from scratch. The first query for a mean builds the table under
-/// an internal mutex, every later one shares the immutable snapshot. A
-/// request with a larger n_max than the cached table replaces it with an
-/// extended build (already-handed-out snapshots stay valid).
-///
-/// Tables are always built out to the distribution's hard truncation cap
-/// (the same bound poisson_truncation_point uses), so tail() queries from
-/// the explorers stay inside the precomputed range instead of hitting the
-/// per-call summation fallback — profiling showed that fallback dominating
-/// deep DFS runs. The cache itself is capacity-bounded LRU (kCapacity
-/// distinct means) so a long checker fan-out over many time bounds cannot
-/// grow it without limit; occupancy is reported via the
-/// "poisson.tail_cache_occupancy" gauge and evictions via the
-/// "poisson.tail_cache_evictions" counter.
-class PoissonTailCache {
- public:
-  /// Retained tables for distinct means; evicting the least-recently-used
-  /// entry only drops the cache's reference, handed-out snapshots survive.
-  static constexpr std::size_t kCapacity = 8;
-
-  /// The process-wide cache both uniformization explorers draw from, so a
-  /// long-lived service re-checking the same (model, t) keeps its Poisson
-  /// tables warm across requests. Tables are pure functions of the mean
-  /// (always built to the hard truncation cap), so sharing across solves is
-  /// bitwise-identical to per-solve rebuilds.
-  static PoissonTailCache& global();
-
-  /// The table for `mean` covering at least [0, n_max].
-  std::shared_ptr<const SharedPoissonTail> table(double mean, std::size_t n_max) const;
-
- private:
-  struct Slot {
-    std::shared_ptr<const SharedPoissonTail> table;
-    std::uint64_t last_use = 0;
-  };
-
-  // Linear scan over exact means: one engine sees one or two distinct means
-  // over its lifetime, so a map is not worth its allocations.
-  mutable std::mutex mutex_;
-  mutable std::uint64_t tick_ = 0;     // lint:guarded_by(mutex_)
-  mutable std::vector<Slot> tables_;  // lint:guarded_by(mutex_)
+  std::vector<double> mass_;  // mass_[i] = Pr{N = i}
+  std::vector<double> cdf_;   // cdf_[i] = Pr{N <= i}
 };
 
 }  // namespace csrlmrm::numeric

@@ -243,12 +243,12 @@ std::vector<double> expected_accumulated_rates(const core::RateMatrix& rates,
 
   // The tail weights Pr{N_t >= k+1} / Lambda sum to E[N_t] / Lambda = t;
   // truncate once the remaining tail mass contributes less than epsilon * t.
-  PoissonCdfTable tail_table(mean);
+  const PoissonTable poisson(mean);
   const std::size_t hard_cap =
       poisson_truncation_point(mean, options.epsilon / (mean + 1.0)) + 1;
   SeriesWeights series;
   for (std::size_t k = 0; k <= hard_cap; ++k) {
-    const double weight = tail_table.tail(k + 1) / lambda;
+    const double weight = poisson.tail(k + 1) / lambda;
     if (weight <= 0.0) break;
     series.weights.push_back(weight);
   }

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 namespace csrlmrm::numeric {
 namespace {
@@ -77,19 +80,51 @@ TEST(Poisson, TruncationPointRejectsBadEpsilon) {
   EXPECT_THROW(poisson_truncation_point(1.0, 1.0), std::invalid_argument);
 }
 
-TEST(PoissonCdfTable, MatchesDirectCdf) {
-  PoissonCdfTable table(6.5);
-  // Query out of order to exercise on-demand extension.
+TEST(PoissonTable, MatchesDirectCdf) {
+  const PoissonTable table(6.5);
   EXPECT_NEAR(table.cdf(10), poisson_cdf(10, 6.5), 1e-14);
   EXPECT_NEAR(table.cdf(3), poisson_cdf(3, 6.5), 1e-14);
   EXPECT_NEAR(table.cdf(25), poisson_cdf(25, 6.5), 1e-14);
 }
 
-TEST(PoissonCdfTable, TailComplementsCdf) {
-  PoissonCdfTable table(4.0);
+TEST(PoissonTable, TailComplementsCdf) {
+  const PoissonTable table(4.0);
   EXPECT_DOUBLE_EQ(table.tail(0), 1.0);
   EXPECT_NEAR(table.tail(5), 1.0 - poisson_cdf(4, 4.0), 1e-14);
   EXPECT_GE(table.tail(100), 0.0);
+}
+
+TEST(PoissonTable, MassesEqualPointwisePmfBitwise) {
+  // The class-DP sweep and the DFPG oracle must see the very bits
+  // poisson_pmf gives, inside the table's range and past its end. Means span
+  // the point mass, small, mid and the largest the class-DP engine tabulates
+  // (-ln 1e-300 ~ 690).
+  for (const double mean : {0.0, 1e-3, 0.37, 4.2, 57.0, 690.0}) {
+    const PoissonTable table(mean);
+    ASSERT_GT(table.size(), static_cast<std::size_t>(mean));
+    for (std::size_t n = 0; n < table.size() + 10; ++n) {
+      ASSERT_EQ(table.pmf(n), poisson_pmf(n, mean)) << "mean " << mean << ", n " << n;
+    }
+  }
+}
+
+TEST(PoissonTable, TailIsClampedComplementOfCdfInsideAndPastTheTable) {
+  for (const double mean : {0.0, 0.5, 12.0, 300.0}) {
+    const PoissonTable table(mean);
+    EXPECT_EQ(table.tail(0), 1.0);
+    for (std::size_t n = 1; n < table.size() + 20; ++n) {
+      ASSERT_EQ(table.tail(n), std::max(0.0, 1.0 - table.cdf(n - 1)))
+          << "mean " << mean << ", n " << n;
+    }
+    // Past its end the table keeps summing masses instead of freezing.
+    EXPECT_EQ(table.cdf(table.size() + 5),
+              std::min(table.cdf(table.size() + 4) + poisson_pmf(table.size() + 5, mean), 1.0));
+  }
+}
+
+TEST(PoissonTable, RejectsInvalidMean) {
+  EXPECT_THROW(PoissonTable(-1.0), std::invalid_argument);
+  EXPECT_THROW(PoissonTable(std::numeric_limits<double>::quiet_NaN()), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // In-process repetition: a long-lived process (mrmcheckd) answers the same
 // queries hundreds of times with progressively warmer process-lifetime
-// caches (PoissonTailCache::global(), SharedOmegaCache::global(), per-plan
-// TransformCaches). Every repetition must be bitwise-identical to the first,
-// cold-cache run — cache warmth is a speed effect, never a numeric one.
+// caches (SharedOmegaCache::global(), per-plan TransformCaches; Poisson
+// tables are per solve). Every repetition must be bitwise-identical to the
+// first, cold-cache run — cache warmth is a speed effect, never a numeric
+// one.
 #include <gtest/gtest.h>
 
 #include <string>
