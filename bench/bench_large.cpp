@@ -263,7 +263,7 @@ int main(int argc, char** argv) {
 
   // Steady-state detection on the stiff regime: an overloaded M/M/1/50 queue
   // at Lambda*t ~ 1e5 Poisson terms, where the chain reaches equilibrium
-  // long before the Fox-Glynn right edge.
+  // long before the Poisson right edge.
   models::Mm1kConfig stiff;
   stiff.capacity = 50;
   stiff.arrival_rate = 100.0;

@@ -8,7 +8,7 @@
 //      (forward, one sweep per start state, no hoisting, no zero-row skip,
 //      no contiguous axpy, no parallelism) so the restructuring gain is
 //      recorded alongside the thread scaling;
-//   2. transient_distribution — the Fox-Glynn uniformization series with the
+//   2. transient_distribution — the uniformization series with the
 //      row-chunked blocked SpMV on a large queue;
 //   3. checker_until_fanout  — a full P2 Until check through the checker
 //      layer (discretization: one sweep for all start states).

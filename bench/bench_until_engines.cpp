@@ -22,10 +22,9 @@
 //
 // Recorded per workload: wall-clock of both lanes (best of g_repeats, lanes
 // interleaved within each repetition so host clock drift cancels),
-// wall_clock_speedup = dfpg / classdp, the method checker::choose_until_method
-// picks, omega.evaluations (the conditional-probability calls of eq. 4.9 —
-// the quantity the signature-class merge and the (k, r') grouping are
-// designed to shrink), the classdp frontier and hand-off counters, the
+// wall_clock_speedup = dfpg / classdp, omega.evaluations (the
+// conditional-probability calls of eq. 4.9 — the quantity the
+// signature-class merge and the (k, r') grouping are designed to shrink), the classdp frontier and hand-off counters, the
 // maximum cross-engine disagreement in excess of the combined error bounds
 // (expected 0: the engines bracket the same exact value), and the maximum
 // deviation of the classdp lane across 1/2/8 worker threads (expected 0: the
@@ -40,7 +39,6 @@
 #include <vector>
 
 #include "bench_support.hpp"
-#include "checker/until.hpp"
 #include "models/tmr.hpp"
 #include "obs/stats.hpp"
 
@@ -94,7 +92,6 @@ struct Record {
   std::size_t num_starts = 0;
   double dfpg_ms = 0.0;
   double classdp_ms = 0.0;
-  std::string method;  // what checker::choose_until_method picked
   double omega_dfpg = 0.0;
   double omega_classdp = 0.0;
   double trivial_classdp = 0.0;
@@ -121,15 +118,6 @@ Record run_workload(const Workload& workload) {
   record.name = workload.name;
   record.description = workload.description;
   record.num_starts = starts.size();
-
-  // The checker's up-front method rule, resolved for this workload.
-  checker::CheckerOptions checker_options;
-  checker_options.uniformization.truncation_probability = workload.w;
-  record.method = checker::choose_until_method(experiment.transformed_model(), workload.t,
-                                               checker_options)
-                              .method == checker::UntilMethod::kDiscretization
-                      ? "discretization"
-                      : "classdp+hybrid";
 
   const auto run_dfpg = [&] {
     for (const core::StateIndex s : starts) {
@@ -190,7 +178,6 @@ void print_record(std::FILE* out, const Record& record, bool last) {
   std::fprintf(out, "      \"num_starts\": %zu,\n", record.num_starts);
   std::fprintf(out, "      \"dfpg_ms\": %.3f,\n", record.dfpg_ms);
   std::fprintf(out, "      \"classdp_ms\": %.3f,\n", record.classdp_ms);
-  std::fprintf(out, "      \"method\": \"%s\",\n", record.method.c_str());
   std::fprintf(out, "      \"wall_clock_speedup\": %.2f,\n", record.dfpg_ms / record.classdp_ms);
   std::fprintf(out, "      \"omega_evaluations_dfpg\": %.0f,\n", record.omega_dfpg);
   std::fprintf(out, "      \"omega_evaluations_classdp\": %.0f,\n", record.omega_classdp);
@@ -263,10 +250,10 @@ int main(int argc, char** argv) {
     records.push_back(run_workload(workload));
     const Record& record = records.back();
     std::printf(
-        "%s: dfpg %.1f ms / classdp+hybrid %.1f ms (speedup %.2fx, method %s), "
+        "%s: dfpg %.1f ms / classdp+hybrid %.1f ms (speedup %.2fx), "
         "omega evals %.0f -> %.0f, agreement excess %.1e, thread diff %.1e\n",
         record.name.c_str(), record.dfpg_ms, record.classdp_ms,
-        record.dfpg_ms / record.classdp_ms, record.method.c_str(), record.omega_dfpg,
+        record.dfpg_ms / record.classdp_ms, record.omega_dfpg,
         record.omega_classdp, record.agreement_excess,
         record.thread_determinism_diff);
   }
@@ -286,7 +273,7 @@ int main(int argc, char** argv) {
                "programmatically, no file IO); dfpg runs the thesis's DFPG oracle once per "
                "start state, classdp answers all starts in one batched frontier sweep with "
                "the adaptive hybrid (the checker's engine) at the same truncation "
-               "probability w; method is what checker::choose_until_method picks; "
+               "probability w; "
                "wall_clock_speedup = dfpg_ms / classdp_ms; omega_evaluation_ratio null "
                "means classdp folded every class through the trivial Omega base cases and "
                "needed zero evaluator calls\",\n",

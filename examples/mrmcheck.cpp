@@ -55,8 +55,8 @@ void usage() {
                "            the per-state fan-out (default: CSRLMRM_THREADS env var,\n"
                "            else hardware concurrency; 1 = serial)\n"
                "  --stats[=file.json]  collect engine statistics (solver iterations,\n"
-               "            Fox-Glynn windows, path counts, per-operator timings) and\n"
-               "            write them as JSON to the file (or stdout). The\n"
+               "            Poisson truncation edges, path counts, per-operator timings)\n"
+               "            and write them as JSON to the file (or stdout). The\n"
                "            CSRLMRM_STATS env var enables collection as well.\n"
                "  --strict  exit with status 3 when any state's verdict is UNKNOWN\n"
                "            (its value interval straddles a threshold); the default\n"
@@ -65,9 +65,7 @@ void usage() {
                "            exhausts its node budget: 'discretize' (default: answer\n"
                "            every start state with one discretization sweep),\n"
                "            'widen-w' (re-run with coarser truncation, then\n"
-               "            discretize), or 'throw' (fail). Unless 'throw', a query\n"
-               "            on an impulse-free model that provably cannot fit the\n"
-               "            budget is discretized up front (engine.auto_choice.*)\n"
+               "            discretize), or 'throw' (fail)\n"
                "  --max-nodes=N  node budget for the uniformization engine (frontier\n"
                "            classes processed, default 500000000)\n"
                "  --formulas=<file>  check a batch of formulas (one per line; blank\n"

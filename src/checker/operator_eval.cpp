@@ -149,13 +149,18 @@ RewardEvaluation evaluate_reward_operator(const core::Mrm& model,
     case logic::RewardQuery::kCumulative: {
       // The reward series truncates the Poisson tail, losing at most
       // epsilon * t of residence mass; each lost unit earns at most the
-      // largest gain rate, so the truth lies in [v, v + eps * t * max gain].
-      result.values = expected_accumulated_rewards(model, node.time_horizon, options.transient);
+      // largest gain rate, and the series' rounding is two-sided, so the
+      // truth lies in [v - rounding, v + eps * t * max gain + rounding].
       const auto gain = per_state_gain_rates(model);
       const double max_gain = gain.empty() ? 0.0 : *std::max_element(gain.begin(), gain.end());
+      numeric::TransientResult series =
+          expected_accumulated_rewards_checked(model, node.time_horizon, options.transient);
+      result.values = std::move(series.values);
       const double slack = options.transient.epsilon * node.time_horizon * max_gain;
+      const double rounding = series.rounding_error;
       for (std::size_t s = 0; s < n; ++s) {
-        result.bounds[s] = ProbabilityBound{result.values[s], result.values[s] + slack};
+        result.bounds[s] =
+            ProbabilityBound{result.values[s] - rounding, result.values[s] + slack + rounding};
       }
       return result;
     }

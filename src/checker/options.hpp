@@ -15,9 +15,8 @@ namespace csrlmrm::checker {
 enum class UntilMethod {
   /// Uniformization (section 4.6) — the default, matching the tool described
   /// in the appendix. Runs the signature-class DP with its adaptive hybrid
-  /// (numeric/class_explorer.hpp), batched over every start state; the
-  /// method switches to discretization up front when the budget provably
-  /// cannot suffice (see checker::choose_until_method).
+  /// (numeric/class_explorer.hpp), batched over every start state; on node
+  /// budget exhaustion the BudgetPolicy decides what happens next.
   kUniformization,
   /// Discretization (section 4.5). Requires (scalable-to-)integer state
   /// rewards and impulse rewards divisible by the step.

@@ -83,12 +83,17 @@ std::vector<PerformabilityValue> performability_cdf(const core::Mrm& model,
   return values;
 }
 
-std::vector<double> expected_accumulated_rewards(const core::Mrm& model, double t,
-                                                 const numeric::TransientOptions& options) {
+numeric::TransientResult expected_accumulated_rewards_checked(
+    const core::Mrm& model, double t, const numeric::TransientOptions& options) {
   obs::ScopedTimer timer("checker.expected_reward");
   obs::counter_add("checker.expected_reward.calls");
-  return numeric::expected_accumulated_rates(model.rates(), per_state_gain_rates(model), t,
-                                             options);
+  return numeric::expected_accumulated_rates_checked(model.rates(), per_state_gain_rates(model),
+                                                     t, options);
+}
+
+std::vector<double> expected_accumulated_rewards(const core::Mrm& model, double t,
+                                                 const numeric::TransientOptions& options) {
+  return expected_accumulated_rewards_checked(model, t, options).values;
 }
 
 double expected_accumulated_reward(const core::Mrm& model, core::StateIndex start, double t,

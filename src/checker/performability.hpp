@@ -55,6 +55,11 @@ std::vector<PerformabilityValue> performability_cdf(const core::Mrm& model,
 std::vector<double> expected_accumulated_rewards(const core::Mrm& model, double t,
                                                  const numeric::TransientOptions& options = {});
 
+/// expected_accumulated_rewards with the series' two-sided rounding bound
+/// (numeric::expected_accumulated_rates_checked).
+numeric::TransientResult expected_accumulated_rewards_checked(
+    const core::Mrm& model, double t, const numeric::TransientOptions& options = {});
+
 /// expected_accumulated_rewards for one start state.
 double expected_accumulated_reward(const core::Mrm& model, core::StateIndex start, double t,
                                    const numeric::TransientOptions& options = {});

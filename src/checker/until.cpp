@@ -11,7 +11,6 @@
 #include "linalg/gauss_seidel.hpp"
 #include "numeric/class_explorer.hpp"
 #include "numeric/discretization.hpp"
-#include "numeric/poisson.hpp"
 #include "numeric/transient.hpp"
 #include "obs/stats.hpp"
 #include "core/approx.hpp"
@@ -50,13 +49,6 @@ std::vector<bool> dead_mask(const std::vector<bool>& sat_phi, const std::vector<
   std::vector<bool> dead(sat_phi.size(), false);
   for (std::size_t s = 0; s < dead.size(); ++s) dead[s] = !sat_phi[s] && !sat_psi[s];
   return dead;
-}
-
-/// The O(1) conditions of the up-front discretization rule (see
-/// choose_until_method).
-bool may_discretize_up_front(const core::Mrm& transformed, const CheckerOptions& options) {
-  return options.on_budget_exhausted != BudgetPolicy::kThrow &&
-         !transformed.has_impulse_rewards();
 }
 
 }  // namespace
@@ -154,35 +146,10 @@ std::vector<double> unbounded_until_probabilities(const core::Mrm& model,
   return result;
 }
 
-AutoEngineChoice choose_until_method(const core::Mrm& transformed, double t,
-                                     const CheckerOptions& options) {
-  AutoEngineChoice choice;
-  const std::size_t n = transformed.num_states();
-  for (core::StateIndex s = 0; s < n; ++s) {
-    if (transformed.rates().exit_rate(s) > 0.0) ++choice.live_states;
-  }
-  const double mean = transformed.rates().max_exit_rate() * t;
-  // Pr{N > levels} <= w: the engine never looks past this epoch, and even a
-  // perfectly merging frontier processes at least one class per live state
-  // per level, so live * levels lower-bounds its node count.
-  choice.poisson_levels =
-      mean > 0.0 ? numeric::poisson_truncation_point(
-                       mean, options.uniformization.truncation_probability)
-                 : 0;
-  if (may_discretize_up_front(transformed, options) &&
-      static_cast<double>(choice.live_states) * static_cast<double>(choice.poisson_levels) >
-          static_cast<double>(options.uniformization.max_nodes)) {
-    // Uniformization is provably over budget before exploring anything —
-    // skip straight to the method the BudgetPolicy chain would end up in.
-    choice.method = UntilMethod::kDiscretization;
-  }
-  return choice;
-}
-
 namespace {
 
 /// Discretization options usable as an automatic *fallback* for a query
-/// uniformization abandoned (or provably would): the configured step is
+/// uniformization abandoned on its node budget: the configured step is
 /// adapted so it satisfies d * E_max < 1 and divides t (explicit
 /// discretization runs keep the user's step untouched and fail loudly
 /// instead).
@@ -238,24 +205,8 @@ std::optional<std::vector<numeric::UntilUniformizationResult>> class_dp_within_b
 std::vector<UntilValue> bounded_time_reward(const core::Mrm& transformed,
                                             const std::vector<bool>& sat_psi,
                                             const std::vector<bool>& dead, double t, double r,
-                                            const CheckerOptions& caller_options,
+                                            const CheckerOptions& options,
                                             bool psi_absorbed) {
-  CheckerOptions options = caller_options;
-  if (options.until_method == UntilMethod::kUniformization) {
-    // The cheap guards go first, so impulse-reward models (and kThrow runs)
-    // never pay for the cost model's Poisson scan.
-    if (may_discretize_up_front(transformed, options) &&
-        choose_until_method(transformed, t, options).method == UntilMethod::kDiscretization) {
-      // The up-front switch adapts the step like the budget-exhaustion
-      // fallback does; only an *explicit* d=step run keeps the user's step.
-      options.until_method = UntilMethod::kDiscretization;
-      options.discretization =
-          adapted_discretization_options(transformed, t, options.discretization);
-      obs::counter_add("engine.auto_choice.discretization");
-    } else {
-      obs::counter_add("engine.auto_choice.classdp");
-    }
-  }
   obs::ScopedTimer timer(options.until_method == UntilMethod::kUniformization
                              ? "checker.until.bounded.uniformization"
                              : "checker.until.bounded.discretization");
@@ -402,20 +353,24 @@ std::vector<UntilValue> until_probabilities(const core::Mrm& model,
                                                          options.transient);
       }
 
+      // Each series' steady-state fold and rounding are two-sided.
+      const auto two_sided = [](const numeric::TransientResult& r) {
+        return r.steady_error + r.rounding_error;
+      };
       std::vector<UntilValue> values(n);
-      const double lost = options.transient.epsilon;  // one-sided Fox-Glynn loss
       for (core::StateIndex s = 0; s < n; ++s) {
         if (!sat_phi[s]) continue;
         // Interval arithmetic over the convex combination: the phase-one
-        // weights underestimate by at most epsilon of total mass (Fox-Glynn
-        // truncation only loses terms), each residual contributes its own
-        // enclosure, and each series' steady-state fold is two-sided, so
-        // [lower - fold, upper + epsilon + fold] contains the truth.
+        // weights underestimate by at most the truncation loss of total mass
+        // (the series truncation only loses terms), each residual contributes
+        // its own enclosure, so [lower - two-sided, upper + lost + two-sided]
+        // contains the truth.
         const double probability = at_t1[kProbability].values[s];
-        const double error = lost + at_t1[kError].values[s] + at_t1[kError].steady_error +
-                             at_t1[kProbability].steady_error;
-        const double lower = at_t1[kLower].values[s] - at_t1[kLower].steady_error;
-        const double upper = lost + at_t1[kUpper].values[s] + at_t1[kUpper].steady_error;
+        const double error = at_t1[kError].truncation_error + at_t1[kError].values[s] +
+                             at_t1[kError].steady_error + at_t1[kProbability].steady_error;
+        const double lower = at_t1[kLower].values[s] - two_sided(at_t1[kLower]);
+        const double upper = at_t1[kUpper].truncation_error + at_t1[kUpper].values[s] +
+                             two_sided(at_t1[kUpper]);
         values[s] = {probability, error,
                      ProbabilityBound{std::max(0.0, lower), std::min(1.0, upper)}};
       }
@@ -433,8 +388,8 @@ std::vector<UntilValue> until_probabilities(const core::Mrm& model,
       // at t equals the until probability.
       const auto hit = numeric::transient_hit_probabilities(
           transformed.rates(), sat_psi, time_bound.upper(), options.transient);
-      const double lost = options.transient.epsilon;  // one-sided Fox-Glynn loss
-      const double steady = hit.steady_error;         // two-sided fold error
+      const double lost = hit.truncation_error;                     // one-sided
+      const double two_sided = hit.steady_error + hit.rounding_error;  // fold and rounding
       std::vector<UntilValue> values(n);
       for (core::StateIndex s = 0; s < n; ++s) {
         if (sat_psi[s]) {
@@ -442,10 +397,11 @@ std::vector<UntilValue> until_probabilities(const core::Mrm& model,
           continue;
         }
         const double p = hit.values[s];
-        // True value lies in [p - steady, p + lost + steady]; with detection
-        // off (steady == 0) this is the usual truncation enclosure.
-        values[s] = {p, lost + steady,
-                     ProbabilityBound::from_point_error(p, steady, lost + steady)};
+        // True value lies in [p - two_sided, p + lost + two_sided], epsilon
+        // wide with detection off while the rounding bound is small; the
+        // a-priori error is the lost mass plus the fold.
+        values[s] = {p, lost + hit.steady_error,
+                     ProbabilityBound::from_point_error(p, two_sided, lost + two_sided)};
       }
       return values;
     }

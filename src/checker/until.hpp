@@ -31,12 +31,14 @@ namespace csrlmrm::checker {
 struct UntilValue {
   double probability = 0.0;
   /// A-priori bound on the one-sided error: for the truncating engines
-  /// (Fox-Glynn transient, uniformization) the probability mass lost
+  /// (transient series, uniformization) the probability mass lost
   /// below the reported value; for discretization the half-width of the
   /// derived O(d) error band. 0 for exact graph/linear-algebra methods.
   double error_bound = 0.0;
   /// Rigorous enclosure of the true probability. Truncating engines yield
-  /// [p, p + error_bound]; discretization yields [p - e, p + e] with the
+  /// [p, p + error_bound], which the transient series widen by their
+  /// floating-point rounding bound on both sides (numeric/transient.hpp);
+  /// discretization yields [p - e, p + e] with the
   /// derived step-error e; exact methods the point [p, p].
   ProbabilityBound bound = ProbabilityBound::point(0.0);
 };
@@ -56,35 +58,6 @@ inline UntilValue truncated_until_value(double p, double lost) {
 inline UntilValue two_sided_until_value(double p, double half_width) {
   return {p, half_width, ProbabilityBound::from_point_error(p, half_width, half_width)};
 }
-
-/// The up-front method choice for one P2-class query: uniformization (the
-/// signature-class DP with its adaptive hybrid) unless the cost model proves
-/// it over budget, plus the cost model's inputs for the plan printer.
-struct AutoEngineChoice {
-  /// kDiscretization only when uniformization is provably over budget (see
-  /// choose_until_method); kUniformization otherwise.
-  UntilMethod method = UntilMethod::kUniformization;
-  /// Non-absorbing states of the transformed model and the Poisson
-  /// truncation depth at horizon t.
-  std::size_t live_states = 0;
-  std::size_t poisson_levels = 0;
-};
-
-/// The up-front cost model of a uniformization P2 query, on the
-/// *transformed* model M[!Phi v Psi] with time bound t: discretization when
-///   - the budget policy permits degrading (kThrow forbids switching methods
-///     behind the user's back — there uniformization runs and fails loudly),
-///   - the model has no impulse rewards (so a discretization step always
-///     exists), and
-///   - even a perfectly merging frontier is over the node budget (live
-///     states x Poisson levels > max_nodes, a lower bound on the engine's
-///     work);
-/// uniformization otherwise. Deterministic and O(states + Lambda*t); the
-/// plan compiler records it for --explain and the checker applies it
-/// (counted in `engine.auto_choice.{classdp,discretization}`), testing the
-/// two O(1) conditions first.
-AutoEngineChoice choose_until_method(const core::Mrm& transformed, double t,
-                                     const CheckerOptions& options);
 
 /// The dispatch class of one until query, decided by its bound shapes alone
 /// (so the plan compiler can classify at compile time with the function

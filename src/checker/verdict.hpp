@@ -1,7 +1,7 @@
 // Error-aware results: rigorous value intervals and three-valued verdicts.
 //
 // Every numerical method behind the S/P/R operators is approximate in a
-// *quantified* way — Fox-Glynn truncation loses at most epsilon of the
+// *quantified* way — the transient series loses at most epsilon of the
 // Poisson mass (eq. 3.5), uniformization loses at most the accumulated
 // truncated-path mass (eq. 4.6), and the discretization scheme converges
 // with rate O(d) (section 4.5). Collapsing such a value to a bare double
@@ -41,7 +41,7 @@ struct ProbabilityBound {
 
   /// A probability computed as `p` with up to `below` mass possibly missing
   /// underneath and `above` possibly missing on top, clamped to [0, 1].
-  /// Truncating engines (Fox-Glynn, uniformization) only *lose* mass, so
+  /// Truncating engines (transient series, uniformization) only *lose* mass, so
   /// they pass below = 0; two-sided schemes (discretization) pass both.
   static ProbabilityBound from_point_error(double p, double below, double above);
 

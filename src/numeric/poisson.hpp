@@ -2,10 +2,24 @@
 //
 // The thesis computes Poisson weights with the simple recursion
 // P_0 = e^{-Lambda t}, P_i = (Lambda t / i) P_{i-1} (section 4.6.2). That
-// recursion underflows for Lambda*t beyond ~700, so all entry points here
-// evaluate each mass in the log domain (n ln m - m - lgamma(n+1)), which is
-// stable for any mean, and tests pin the two forms against each other where
-// both are representable.
+// recursion underflows once e^{-Lambda t} does (Lambda*t beyond ~745), so the
+// masses are evaluated pointwise in one of two forms, chosen by the mean:
+//
+//  * up to mean 40, in the log domain exp(n ln m - m - lgamma(n+1)); tests
+//    pin it against the recursion. The exponent is a difference of terms of
+//    size n ln m, so its rounding grows with the mean (a mass-weighted
+//    relative error of ~1e-14 at mean 40, ~4e-13 at 745). The class DP
+//    tabulates only means with e^{-mean} >= w, so at every w >= e^{-40}
+//    (~4e-18) its P2 weights come from this form;
+//  * past mean 40, in Loader's saddle-point form
+//    exp(-stirlerr(n) - bd0(n, m)) / sqrt(2 pi n), whose deviance term bd0
+//    is summed without cancellation: the relative error stays at a few ulp
+//    at every mean (C. Loader, "Fast and accurate computation of binomial
+//    probabilities", 2000).
+//
+// PoissonTable is the one Poisson source of every engine: the P1/P1' and
+// R[C] series take their weights and their right truncation edge from it,
+// and the class DP its per-level masses and eq. (4.6) tails.
 #pragma once
 
 #include <cstddef>
@@ -17,30 +31,25 @@ namespace csrlmrm::numeric {
 /// std::invalid_argument otherwise); mean == 0 gives the point mass at 0.
 double poisson_pmf(std::size_t n, double mean);
 
-/// Pr{N <= n}.
-double poisson_cdf(std::size_t n, double mean);
-
-/// The masses Pr{N = 0} .. Pr{N = n_max} as a vector of length n_max + 1.
-std::vector<double> poisson_pmf_sequence(std::size_t n_max, double mean);
-
-/// Smallest N such that Pr{N > N} <= epsilon, i.e. the right truncation
-/// point for a uniformization sum with error tolerance epsilon in (0,1).
-std::size_t poisson_truncation_point(double mean, double epsilon);
-
 /// Immutable Poisson table for one fixed mean: the masses Pr{N = n} and the
-/// CDF Pr{N <= n} for n = 0 .. cap + 2, where cap = mean + 40 sqrt(mean + 1)
-/// + 64 is where poisson_truncation_point stops scanning. One table serves
-/// a whole solve — the uniformization sweep's per-level masses, its eq. (4.6)
-/// tails and the accumulated-reward series weights — and is safe to share
-/// across threads without synchronization. Its size is linear in the mean,
-/// so the class-DP engine builds one only past its exact level-0 cut
-/// (mean <= -ln w).
+/// CDF Pr{N <= n} for n = left() .. cap + 2, where cap = mean + 40
+/// sqrt(mean + 1) + 64, past which the remaining mass is far below any
+/// tolerance, and left() = max(0, mean - 40 sqrt(mean + 1)), below which
+/// every mass underflows to 0. The table spans O(sqrt(mean)) entries; one
+/// table serves a whole solve and is safe to share across threads without
+/// synchronization.
 class PoissonTable {
  public:
+  /// Throws std::invalid_argument for a negative or non-finite mean, and —
+  /// before allocating anything — when the table would exceed 2^26 entries
+  /// (1 GiB for the two arrays; Lambda*t beyond about 7e11).
   explicit PoissonTable(double mean);
 
-  /// Number of tabulated entries (cap + 3).
-  std::size_t size() const { return cdf_.size(); }
+  /// The first tabulated index: 0 up to mean ~1600. Every mass below it
+  /// underflows to 0.
+  std::size_t left() const { return left_; }
+  /// One past the last tabulated index (cap + 3).
+  std::size_t size() const { return left_ + mass_.size(); }
 
   /// Pr{N = n}, bitwise equal to poisson_pmf(n, mean).
   double pmf(std::size_t n) const;
@@ -48,11 +57,23 @@ class PoissonTable {
   double cdf(std::size_t n) const;
   /// Pr{N >= n} = max(0, 1 - cdf(n-1)); tail(0) = 1.
   double tail(std::size_t n) const;
+  /// The right truncation edge for tolerance epsilon in (0,1): the smallest
+  /// n with sum_{k>n} pmf(k) <= epsilon. The tail is summed from the far end
+  /// of the table, so it resolves tolerances far below the 1e-16 that
+  /// 1 - cdf(n) can. Recorded in the `poisson.right` gauge.
+  std::size_t right_edge(double epsilon) const;
+  /// sum_{k=from}^{to} pmf(k), summed from `to` down to `from`.
+  double mass_between(std::size_t from, std::size_t to) const;
+  /// A bound on sum_n Pr{N = n} |relative rounding error of pmf(n)|: ~2e-15
+  /// in the saddle-point form, 4u (m |ln m| + m + 4) in the log-domain form
+  /// (u = 2^-53), checked against extended-precision masses in the tests.
+  double mass_error() const;
 
  private:
   double mean_;
-  std::vector<double> mass_;  // mass_[i] = Pr{N = i}
-  std::vector<double> cdf_;   // cdf_[i] = Pr{N <= i}
+  std::size_t left_ = 0;
+  std::vector<double> mass_;  // mass_[i] = Pr{N = left_ + i}
+  std::vector<double> cdf_;   // cdf_[i] = Pr{N <= left_ + i}
 };
 
 }  // namespace csrlmrm::numeric

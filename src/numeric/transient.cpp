@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <functional>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "core/approx.hpp"
 #include "core/simd.hpp"
 #include "linalg/blocked_csr.hpp"
-#include "numeric/fox_glynn.hpp"
 #include "numeric/poisson.hpp"
 #include "obs/stats.hpp"
 #include "parallel/thread_pool.hpp"
@@ -16,6 +18,8 @@
 namespace csrlmrm::numeric {
 
 namespace {
+
+constexpr double kUnitRoundoff = 0.5 * std::numeric_limits<double>::epsilon();
 
 void require_distribution(const core::RateMatrix& rates, const std::vector<double>& initial) {
   if (initial.size() != rates.num_states()) {
@@ -52,31 +56,18 @@ void require_finite_vector(const core::RateMatrix& rates, const std::vector<doub
 /// iteration in the max norm. Either norm bounds every per-state error.
 enum class SteadyNorm { kL1, kMax };
 
-/// The weights of one series: term k enters with weights[k - first] for k in
-/// [first, last()], and not at all before `first`.
-struct SeriesWeights {
-  std::size_t first = 0;
-  std::vector<double> weights;
-
-  std::size_t last() const { return first + weights.size() - 1; }
-};
-
-/// The normalized Fox-Glynn probabilities of the window [left, right].
-SeriesWeights poisson_weights(FoxGlynnWeights window) {
-  for (double& w : window.weights) w /= window.total_weight;
-  return {window.left, std::move(window.weights)};
-}
-
 /// Body of every uniformization series: term_k = A^k x_0 through the blocked
 /// gather over `gather` (P for the backward series, P^T for the forward
-/// one), accumulated with `series` weights and optionally cut once
-/// successive iterates have stabilized. With detection off the operation
-/// sequence is the plain truncated sum.
-TransientResult accumulate_series(const linalg::CsrMatrix& gather, const SeriesWeights& series,
+/// one), accumulated with weight(k) for k = 0..last and optionally cut once
+/// successive iterates have stabilized; weight_after(i) is the weight
+/// sum_{k=i+1}^{last} weight(k) the cut folds onto term i. With detection
+/// off the operation sequence is the plain truncated sum.
+TransientResult accumulate_series(const linalg::CsrMatrix& gather, std::size_t last,
+                                  const std::function<double(std::size_t)>& weight,
+                                  const std::function<double(std::size_t)>& weight_after,
                                   std::vector<double> initial, const TransientOptions& options,
                                   SteadyNorm norm) {
   const linalg::BlockedCsrMatrix blocked(gather);
-  const std::size_t last = series.last();
   const unsigned threads =
       parallel::choose_thread_count(options.threads, gather.non_zeros() * (last + 1));
   TransientResult out;
@@ -85,9 +76,9 @@ TransientResult accumulate_series(const linalg::CsrMatrix& gather, const SeriesW
   out.values.assign(term.size(), 0.0);
   for (std::size_t i = 0; i <= last; ++i) {
     ++out.series_terms;
-    if (i >= series.first) {
-      core::simd::axpy(out.values.data(), term.data(), out.values.size(),
-                       series.weights[i - series.first]);
+    // Far-left masses underflow to exactly 0; adding 0 * term is a no-op.
+    if (const double w = weight(i); w > 0.0) {
+      core::simd::axpy(out.values.data(), term.data(), out.values.size(), w);
     }
     if (i == last) break;
     blocked.multiply_into(term, scratch, threads);
@@ -107,14 +98,10 @@ TransientResult accumulate_series(const linalg::CsrMatrix& gather, const SeriesW
       if (delta * static_cast<double>(remaining) <= options.steady_epsilon) {
         // The uniformized step is non-expansive in `norm`, so every future
         // iterate stays within remaining * delta of the current one; folding
-        // the whole remaining (normalized) Poisson mass onto the current
-        // iterate therefore closes the series with a per-state error of at
-        // most steady_error — accounted into the caller's interval.
-        double tail_mass = 0.0;
-        for (std::size_t k = std::max(series.first, i + 1); k <= last; ++k) {
-          tail_mass += series.weights[k - series.first];
-        }
-        core::simd::axpy(out.values.data(), term.data(), out.values.size(), tail_mass);
+        // the whole remaining Poisson mass onto the current iterate therefore
+        // closes the series with a per-state error of at most steady_error —
+        // accounted into the caller's interval.
+        core::simd::axpy(out.values.data(), term.data(), out.values.size(), weight_after(i));
         out.steady_error = delta * static_cast<double>(remaining);
         out.steady_state_detected = true;
         obs::counter_add("uniformization.steady_detected");
@@ -124,6 +111,64 @@ TransientResult accumulate_series(const linalg::CsrMatrix& gather, const SeriesW
     }
   }
   obs::counter_add("transient.series_terms", out.series_terms);
+  return out;
+}
+
+/// A series without the steady-state cut runs one matrix product per term
+/// out to its right edge, which lies past the mean: refuse a Lambda*t that
+/// would take more than 2^26 products, before building anything.
+void require_series_length(double mean, bool may_fold, const char* remedy) {
+  constexpr double kMaxSeriesTerms = 1 << 26;
+  if (may_fold || mean <= kMaxSeriesTerms) return;
+  char message[256];
+  std::snprintf(message, sizeof(message),
+                "transient: Lambda*t = %.3g needs more than 2^26 series terms; %s", mean, remedy);
+  throw std::invalid_argument(message);
+}
+
+/// The most stored entries in one row of `matrix`.
+std::size_t max_row_entries(const linalg::CsrMatrix& matrix) {
+  std::size_t most = 0;
+  for (std::size_t r = 0; r < matrix.rows(); ++r) most = std::max(most, matrix.row(r).size());
+  return most;
+}
+
+/// The transient series sum_{k=0}^{R} pmf(k) A^k x_0 with its error
+/// accounting, per unit of the norm of x_0:
+///  - rounding: every product rounds by at most n u (n = row_entries, the
+///    most entries in a row of P or of the gather, u = 2^-53), and the stored
+///    P differs from I + Q/Lambda by at most (n + 1) u in row norm; both pass
+///    through the later non-expansive products, so term k is off by at most
+///    (2n + 2) u k (the extra u covers second-order terms), and
+///    sum_k pmf(k) k <= Lambda t. The weighted sum adds
+///    (R + 2) u and the masses their own rounding (PoissonTable::mass_error);
+///  - truncation: the right edge R keeps all but epsilon - 2 rounding of the
+///    mass (at least epsilon / 4), so [p - rounding, p + truncation +
+///    rounding] holds the truth and is epsilon wide while rounding stays
+///    below 3 epsilon / 8.
+/// The table spans O(sqrt(Lambda t)) entries.
+TransientResult poisson_series(const linalg::CsrMatrix& gather, std::size_t row_entries,
+                               double mean, std::vector<double> initial,
+                               const TransientOptions& options, SteadyNorm norm) {
+  require_series_length(mean, options.detect_steady_state,
+                        "shorten the time bound or enable steady-state detection");
+  const PoissonTable poisson(mean);
+  const double rounding =
+      kUnitRoundoff * (static_cast<double>(2 * row_entries + 2) * mean +
+                       static_cast<double>(poisson.size() + 1)) +
+      poisson.mass_error();
+  const double truncation = std::max(options.epsilon - 2.0 * rounding, 0.25 * options.epsilon);
+  double scale = 0.0;  // the norm of x_0
+  for (const double x : initial) {
+    scale = norm == SteadyNorm::kL1 ? scale + std::abs(x) : std::max(scale, std::abs(x));
+  }
+  const std::size_t last = poisson.right_edge(truncation);
+  TransientResult out = accumulate_series(
+      gather, last, [&poisson](std::size_t k) { return poisson.pmf(k); },
+      [&poisson, last](std::size_t i) { return poisson.mass_between(i + 1, last); },
+      std::move(initial), options, norm);
+  out.truncation_error = truncation;
+  out.rounding_error = rounding * scale;
   return out;
 }
 
@@ -165,12 +210,10 @@ TransientResult transient_distribution_checked(const core::RateMatrix& rates,
 
   double lambda = 0.0;
   const linalg::CsrMatrix P = uniformized_transition_matrix(rates, lambda);
-  // Fox-Glynn window and weights: only the [left, right] Poisson terms
-  // carry mass above the tolerance; normalizing by the weight total keeps
-  // the result an (eps-accurate) distribution. The row-vector product
-  // p * P is the gather over P^T.
-  return accumulate_series(P.transposed(), poisson_weights(fox_glynn(lambda * t, options.epsilon)),
-                           initial, options, SteadyNorm::kL1);
+  // The row-vector product p * P is the gather over P^T.
+  const linalg::CsrMatrix gather = P.transposed();
+  return poisson_series(gather, std::max(max_row_entries(P), max_row_entries(gather)), lambda * t,
+                        initial, options, SteadyNorm::kL1);
 }
 
 std::vector<double> transient_distribution(const core::RateMatrix& rates,
@@ -205,8 +248,8 @@ TransientResult transient_expectations(const core::RateMatrix& rates,
 
   double lambda = 0.0;
   const linalg::CsrMatrix P = uniformized_transition_matrix(rates, lambda);
-  return accumulate_series(P, poisson_weights(fox_glynn(lambda * t, options.epsilon)),
-                           std::move(terminal), options, SteadyNorm::kMax);
+  return poisson_series(P, max_row_entries(P), lambda * t, std::move(terminal), options,
+                        SteadyNorm::kMax);
 }
 
 TransientResult transient_hit_probabilities(const core::RateMatrix& rates,
@@ -222,42 +265,67 @@ TransientResult transient_hit_probabilities(const core::RateMatrix& rates,
   return transient_expectations(rates, std::move(indicator), t, options);
 }
 
-std::vector<double> expected_accumulated_rates(const core::RateMatrix& rates,
-                                               std::vector<double> rate, double t,
-                                               const TransientOptions& options) {
+TransientResult expected_accumulated_rates_checked(const core::RateMatrix& rates,
+                                                  std::vector<double> rate, double t,
+                                                  const TransientOptions& options) {
   obs::ScopedTimer timer("transient.accumulated_rates");
   obs::counter_add("transient.calls");
   require_finite_vector(rates, rate);
   require_time(t);
   const std::size_t n = rates.num_states();
-  if (core::exactly_zero(t)) return std::vector<double>(n, 0.0);
+  TransientResult out;
+  if (core::exactly_zero(t)) {
+    out.values.assign(n, 0.0);
+    return out;
+  }
   if (core::exactly_zero(rates.max_exit_rate())) {
     // Nothing moves: every start accrues its own rate for the whole horizon.
     for (double& r : rate) r *= t;
-    return rate;
+    out.values = std::move(rate);
+    return out;
   }
 
   double lambda = 0.0;
   const linalg::CsrMatrix P = uniformized_transition_matrix(rates, lambda);
   const double mean = lambda * t;
 
-  // The tail weights Pr{N_t >= k+1} / Lambda sum to E[N_t] / Lambda = t;
-  // truncate once the remaining tail mass contributes less than epsilon * t.
+  // The tail weights Pr{N_t >= k+1} / Lambda sum to E[N_t] / Lambda = t.
+  // Past the right edge R of epsilon / (Lambda t + 1) the dropped weights
+  // sum to E[(N_t - R - 2)^+] / Lambda <= t Pr{N_t > R + 1}, well under
+  // epsilon * t; the series also ends where 1 - cdf rounds to 0.
+  require_series_length(mean, false, "shorten the time bound");
   const PoissonTable poisson(mean);
-  const std::size_t hard_cap =
-      poisson_truncation_point(mean, options.epsilon / (mean + 1.0)) + 1;
-  SeriesWeights series;
-  for (std::size_t k = 0; k <= hard_cap; ++k) {
-    const double weight = poisson.tail(k + 1) / lambda;
-    if (weight <= 0.0) break;
-    series.weights.push_back(weight);
+  if (poisson.tail(1) <= 0.0) {
+    out.values.assign(n, 0.0);
+    return out;
   }
-  if (series.weights.empty()) return std::vector<double>(n, 0.0);
+  std::size_t last = poisson.right_edge(options.epsilon / (mean + 1.0)) + 1;
+  while (poisson.tail(last + 1) <= 0.0) --last;
+  double scale = 0.0;  // max |rate|
+  for (const double r : rate) scale = std::max(scale, std::abs(r));
   // The fold bound assumes weights summing to at most 1, which occupation
   // weights (summing to t) do not satisfy: this series always runs in full.
   TransientOptions full = options;
   full.detect_steady_state = false;
-  return accumulate_series(P, series, std::move(rate), full, SteadyNorm::kMax).values;
+  out = accumulate_series(
+      P, last, [&poisson, lambda](std::size_t k) { return poisson.tail(k + 1) / lambda; },
+      nullptr, std::move(rate), full, SteadyNorm::kMax);
+  // Rounding, as for poisson_series: term k is off by (2n + 2) u k and
+  // sum_k k Pr{N >= k+1} / Lambda = t m / 2; the weighted sum adds (R + 2) u t;
+  // each weight 1 - cdf(k) carries the (k + 2) u of its running sum and the
+  // masses' own rounding, which sum to ((R + 2)^2 u / 2 + (R + 2) e) / Lambda.
+  const double entries = static_cast<double>(max_row_entries(P));
+  const double terms = static_cast<double>(last + 2);
+  out.rounding_error = scale * (kUnitRoundoff * ((entries + 1.0) * t * mean + terms * t +
+                                                 0.5 * terms * terms / lambda) +
+                                terms * poisson.mass_error() / lambda);
+  return out;
+}
+
+std::vector<double> expected_accumulated_rates(const core::RateMatrix& rates,
+                                               std::vector<double> rate, double t,
+                                               const TransientOptions& options) {
+  return expected_accumulated_rates_checked(rates, std::move(rate), t, options).values;
 }
 
 }  // namespace csrlmrm::numeric

@@ -2,7 +2,10 @@
 //
 //   p(t) = sum_{i>=0} PoissonPmf(i; Lambda t) * p(0) * P^i
 //
-// truncated at the Poisson point capturing mass 1 - epsilon. This is the
+// truncated at the right edge R of the Poisson table (numeric/poisson.hpp):
+// the masses PoissonPmf(0..R) are summed, and the mass beyond R plus twice
+// the series' rounding bound is at most epsilon, so the interval
+// [p - rounding, p + epsilon - rounding] holds the exact value. This is the
 // workhorse for the P1 class of until formulas (time bound, no reward bound,
 // Theorem 4.1 + [Bai03]) and the reference oracle several property tests
 // compare the reward engines against.
@@ -29,7 +32,9 @@ namespace csrlmrm::numeric {
 
 /// Options for the transient solver.
 struct TransientOptions {
-  /// Total truncation error budget for the Poisson sum.
+  /// Total error budget for the Poisson sum: the series stops at the right
+  /// edge R with Pr{N > R} + 2 * (rounding bound) <= epsilon while the
+  /// rounding bound allows (TransientResult::truncation_error).
   double epsilon = 1e-12;
   /// Worker threads for the series' matrix-vector products; 0 = the process
   /// default (CSRLMRM_THREADS or hardware concurrency).
@@ -38,7 +43,7 @@ struct TransientOptions {
   /// successive series terms differ by delta with
   /// delta * (terms remaining) <= steady_epsilon, the remaining Poisson mass
   /// is folded into the current term in one axpy instead of advancing the
-  /// series to the Fox-Glynn right edge, so depth stops scaling with
+  /// series to the Poisson right edge, so depth stops scaling with
   /// Lambda*t on stiff models. The cut is sound — the contraction of the
   /// uniformized iteration bounds the per-state error by the reported
   /// TransientResult::steady_error <= steady_epsilon — but the folded result
@@ -54,10 +59,20 @@ struct TransientResult {
   /// The per-state result vector (a distribution for the forward series,
   /// per-start expectations of the terminal vector for the backward series).
   std::vector<double> values;
+  /// One-sided truncation loss per state (for entries of x_0 in [0,1], or a
+  /// distribution): the Poisson mass past the right edge, epsilon minus
+  /// twice the unit rounding bound, and never below epsilon / 4.
+  double truncation_error = 0.0;
+  /// Two-sided bound on the floating-point error per state: the rounding of
+  /// the products, of the stored uniformized matrix, of the weighted sum and
+  /// of the Poisson masses. The truth lies in
+  /// [value - rounding_error - steady_error,
+  ///  value + truncation_error + rounding_error + steady_error], an interval
+  /// epsilon (+ 2 steady_error) wide until Lambda*t reaches the hundreds to
+  /// thousands, depending on the row lengths.
+  double rounding_error = 0.0;
   /// Bound on the additional two-sided per-state error introduced by the
-  /// steady-state fold; 0.0 when detection is off or never fired. The
-  /// one-sided Fox-Glynn truncation budget `epsilon` is accounted separately
-  /// by callers, as before.
+  /// steady-state fold; 0.0 when detection is off or never fired.
   double steady_error = 0.0;
   /// True iff the series was cut by steady-state detection.
   bool steady_state_detected = false;
@@ -85,9 +100,9 @@ TransientResult transient_distribution_checked(const core::RateMatrix& rates,
 /// column-vector series u_{k+1} = P u_k started at `terminal` — O(nnz *
 /// terms) total, where the forward route costs one full series per start
 /// state. `terminal` must be finite, one entry per state. For terminal
-/// entries in [0,1] the per-state truncation error is bounded by
-/// options.epsilon (one-sided, lost mass) plus the reported steady_error
-/// (two-sided) when detection fires; the backward iteration contracts in the
+/// entries in [0,1] the per-state error is bounded by the reported
+/// truncation_error (one-sided, lost mass), rounding_error (two-sided) and
+/// steady_error (two-sided) when detection fires; the backward iteration contracts in the
 /// max norm, which makes the steady-state criterion sound for any terminal
 /// vector. Throws std::invalid_argument on bad inputs.
 TransientResult transient_expectations(const core::RateMatrix& rates,
@@ -119,12 +134,21 @@ linalg::CsrMatrix uniformized_transition_matrix(const core::RateMatrix& rates,
 ///
 ///   values = sum_{k>=0} Pr{N_t >= k+1} / Lambda * P^k rate.
 ///
-/// `rate` must be finite, one entry per state. The series stops once the
-/// remaining weight is below epsilon * t / (Lambda t + 1), so the lost
-/// occupation mass is at most epsilon * t per state. rate = 1 gives t;
+/// `rate` must be finite, one entry per state. The series stops one term
+/// past the right edge of epsilon / (Lambda t + 1), so the lost occupation
+/// mass is at most epsilon * t per state. rate = 1 gives t;
 /// rate = e_j gives the expected occupation time of state j.
 std::vector<double> expected_accumulated_rates(const core::RateMatrix& rates,
                                                std::vector<double> rate, double t,
                                                const TransientOptions& options = {});
+
+/// expected_accumulated_rates with its rounding bound: values as above,
+/// rounding_error the two-sided floating-point error per state (products,
+/// stored matrix, weighted sum, and the 1 - cdf weights), which grows like
+/// 2^-53 max|rate| t Lambda t; truncation_error stays 0 (the caller's
+/// epsilon * t * max|rate| covers the lost occupation mass).
+TransientResult expected_accumulated_rates_checked(const core::RateMatrix& rates,
+                                                  std::vector<double> rate, double t,
+                                                  const TransientOptions& options = {});
 
 }  // namespace csrlmrm::numeric

@@ -201,8 +201,8 @@ class Lowerer {
     const std::string key = "until(" + std::to_string(lhs) + "," + std::to_string(rhs) + "," +
                             node.time_bound.to_string() + "," +
                             node.reward_bound.to_string() + ")";
-    // Probe the memo before running the transform/prediction side effects: a
-    // duplicate until solve must not count a second hoist or pin.
+    // Probe the memo before running the transform side effects: a duplicate
+    // until solve must not count a second hoist.
     if (const auto found = find(key)) return *found;
     PlanOp op;
     op.kind = OpKind::kUntilSolve;
@@ -215,25 +215,6 @@ class Lowerer {
     const auto shape = primary_transform(op.until_class);
     if (shape) op.transform = transform_op(*shape, lhs, rhs);
 
-    // Pass 3: compile-time method annotation for --explain. Only legal when
-    // the operand sets are fully known here (unknown operand states trigger
-    // a second optimistic-mask run on a *different* transformed model at
-    // execution time, which a single prediction cannot speak for — known
-    // sets have empty unknown masks, so the one prediction covers the one
-    // run). The executor does not consume it: the checker re-applies the
-    // same rule at run time, behind its O(1) guards.
-    const bool reward_class = op.until_class == checker::UntilClass::kTimeReward ||
-                              op.until_class == checker::UntilClass::kPointTimeReward;
-    if (reward_class && plan_.options.until_method == checker::UntilMethod::kUniformization &&
-        known_[lhs] && known_[rhs]) {
-      const std::shared_ptr<const core::Mrm> transformed = plan_.transforms->absorbing(
-          model_, transform_mask(*shape, *known_[lhs], *known_[rhs]));
-      // The run-time rule itself, so the annotation and the solve cannot disagree.
-      op.engine_known = true;
-      op.engine_choice =
-          checker::choose_until_method(*transformed, node.time_bound.upper(), plan_.options);
-      ++plan_.engines_pinned;
-    }
     return intern(key, std::move(op), std::nullopt);
   }
 
@@ -334,7 +315,6 @@ Plan compile(const core::Mrm& model, const std::vector<logic::FormulaPtr>& formu
   obs::counter_add("plan.ops", plan.ops.size());
   obs::counter_add("plan.cse.hits", plan.cse_hits);
   obs::counter_add("plan.transforms.hoisted", plan.transforms_hoisted);
-  obs::counter_add("plan.engines.pinned", plan.engines_pinned);
   return plan;
 }
 

@@ -9,11 +9,7 @@
 //   2. transform hoisting — the absorbing transforms behind the until
 //      classes (M[!Phi v Psi], M[!Phi], M[!Phi && !Psi]) become shared
 //      kTransform ops, prewarmed into the plan's TransformCache when the
-//      operand sets are compile-time computable;
-//   3. method annotation — P2-class until ops with compile-time-known
-//      operands and the uniformization method get the run-time cost model
-//      (checker::choose_until_method) evaluated now, so --explain can
-//      report the method and its inputs.
+//      operand sets are compile-time computable.
 //
 // Each until op's class is checker::classify_until, the function the
 // checker itself dispatches on. Compilation runs no numeric solves; it is

@@ -12,7 +12,7 @@
 //     one run;
 //   - absorbing transforms are served from the plan's prewarmed
 //     TransformCache instead of rebuilt per until query;
-//   - Omega/Poisson setup behind the uniformization engines is shared via
+//   - Omega setup behind the uniformization engines is shared via
 //     numeric::SharedOmegaCache, which ops hitting the same transformed
 //     model reach with identical keys.
 //

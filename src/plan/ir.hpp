@@ -93,16 +93,6 @@ struct PlanOp {
   /// Number of consumers in the DAG (other ops' inputs/transform references);
   /// the printer reports transforms and solves shared by more than one.
   std::size_t uses = 0;
-
-  // --- engine-selection pass annotations (kUntilSolve, P2 classes only) ---
-  /// True when the cost model resolved the method at compile time (operand
-  /// sets were compile-time known and the options ask for uniformization).
-  /// An --explain annotation only: the checker applies the same rule
-  /// (checker::choose_until_method) on the identical transformed model at
-  /// run time.
-  bool engine_known = false;
-  /// The predicted choice, with the cost-model inputs the printer reports.
-  checker::AutoEngineChoice engine_choice;
 };
 
 /// A compiled batch. Bound to the model and options it was compiled against;
@@ -130,8 +120,6 @@ struct Plan {
   std::size_t cse_hits = 0;
   /// Transform-op references beyond each transform's first (hoisting wins).
   std::size_t transforms_hoisted = 0;
-  /// Until ops whose engine the cost model resolved at compile time.
-  std::size_t engines_pinned = 0;
 };
 
 }  // namespace csrlmrm::plan

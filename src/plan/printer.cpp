@@ -23,18 +23,7 @@ std::string op_ref(OpId id) {
   return out;
 }
 
-void append_engine(std::string& line, const PlanOp& op) {
-  line += " engine=";
-  if (op.engine_choice.method == checker::UntilMethod::kDiscretization) {
-    line += "discretization(adapted-step)";
-  } else {
-    line += "classdp+hybrid";
-  }
-  append(line, " (live=", std::to_string(op.engine_choice.live_states),
-         " levels=", std::to_string(op.engine_choice.poisson_levels), ")");
-}
-
-std::string op_line(OpId id, const PlanOp& op) {
+std::string op_line(OpId id, const PlanOp& op, checker::UntilMethod method) {
   std::string line;
   append(line, op_ref(id), " = ", to_string(op.kind));
   switch (op.kind) {
@@ -63,7 +52,11 @@ std::string op_line(OpId id, const PlanOp& op) {
              " time=", op.time_bound.to_string(), " reward=", op.reward_bound.to_string(),
              " class=", to_string(op.until_class));
       if (op.transform != kNoOp) append(line, " transform=", op_ref(op.transform));
-      if (op.engine_known) append_engine(line, op);
+      if (op.until_class == checker::UntilClass::kTimeReward ||
+          op.until_class == checker::UntilClass::kPointTimeReward) {
+        line += method == checker::UntilMethod::kDiscretization ? " engine=discretization"
+                                                                 : " engine=classdp+hybrid";
+      }
       break;
     case OpKind::kRewardSolve: {
       const auto& node =
@@ -107,10 +100,9 @@ std::string print_plan(const Plan& plan) {
          std::to_string(plan.ops.size()), " ops, states=",
          std::to_string(plan.num_states), "\n");
   append(out, "passes: cse_hits=", std::to_string(plan.cse_hits),
-         " transforms_hoisted=", std::to_string(plan.transforms_hoisted),
-         " engines_pinned=", std::to_string(plan.engines_pinned), "\n");
+         " transforms_hoisted=", std::to_string(plan.transforms_hoisted), "\n");
   for (OpId id = 0; id < plan.ops.size(); ++id) {
-    append(out, op_line(id, plan.ops[id]), "\n");
+    append(out, op_line(id, plan.ops[id], plan.options.until_method), "\n");
   }
   for (std::size_t i = 0; i < plan.roots.size(); ++i) {
     append(out, "root[", std::to_string(i), "] = ", op_ref(plan.roots[i]), "  ; ",

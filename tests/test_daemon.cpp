@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -361,6 +362,32 @@ TEST(CheckService, ExpiredDeadlineDegradesToUnknownWithInterval) {
   for (std::size_t s = 0; s < 5; ++s) {
     EXPECT_TRUE(core::exactly_equal(reply.formulas[0].bound_lower[s], 0.0));
     EXPECT_TRUE(core::exactly_equal(reply.formulas[0].bound_upper[s], 1.0));
+  }
+}
+
+TEST(CheckService, LongHorizonQueriesReturnAtOnce) {
+  // The daemon keeps the library's O(1) long-horizon paths: the P2 query is
+  // cut whole at the class DP's level 0, and the P1 and R[C] series refuse
+  // their ~800 GB Poisson table before allocating it, each failing alone.
+  daemon::ModelRegistry registry;
+  registry.add(models::make_tmr(), "tmr");
+  daemon::CheckService service(registry);
+
+  daemon::CheckRequest request;
+  request.model = "tmr";
+  request.formulas = {"P(>0.1)[Sup U[0,1e12][0,3000] failed]", "P(>0.1)[Sup U[0,1e12] failed]",
+                      "R(<1e300)[C[0,1e12]]"};
+  const auto start = std::chrono::steady_clock::now();
+  const daemon::CheckReply reply = service.submit(request).get();
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count(), 1.0);
+  ASSERT_TRUE(reply.ok) << reply.error;
+  ASSERT_EQ(reply.formulas.size(), 3u);
+  EXPECT_TRUE(reply.formulas[0].ok) << reply.formulas[0].error;
+  EXPECT_EQ(reply.formulas[0].verdicts, "??YYY");
+  for (std::size_t i = 1; i < 3; ++i) {
+    EXPECT_FALSE(reply.formulas[i].ok) << "formula " << i;
+    EXPECT_NE(reply.formulas[i].error.find("Lambda*t"), std::string::npos)
+        << reply.formulas[i].error;
   }
 }
 

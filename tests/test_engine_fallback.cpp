@@ -33,11 +33,9 @@ core::Mrm make_cycle() {
   return core::Mrm(core::Ctmc(rates.build(), std::move(labels)), {1.0, 2.0, 1.0});
 }
 
-/// The same cycle with an integral impulse reward on 0 -> 1. The impulse
-/// keeps the up-front discretization rule out of play (it only fires on
-/// impulse-free models), so a starved budget is hit mid-flight by the class
-/// DP; being integral, the impulse stays on every adapted step's level grid,
-/// so the discretization fallback remains feasible.
+/// The same cycle with an integral impulse reward on 0 -> 1. Being
+/// integral, the impulse stays on every adapted step's level grid, so the
+/// discretization fallback remains feasible.
 core::Mrm make_impulse_cycle() {
   core::RateMatrixBuilder rates(3);
   rates.add(0, 1, 1.0);
@@ -141,7 +139,6 @@ TEST_F(EngineFallback, ExhaustedBatchDegradesInOneSweep) {
   until_probabilities(model, kPhi, kPsi, logic::up_to(1.0), logic::up_to(10.0),
                       starved(BudgetPolicy::kFallbackToDiscretization));
   const auto& registry = obs::StatsRegistry::global();
-  EXPECT_EQ(registry.counter("engine.auto_choice.classdp"), 1u);
   EXPECT_EQ(registry.counter("classdp.calls"), 1u);
   EXPECT_EQ(registry.counter("discretization.calls"), 1u);
   EXPECT_EQ(registry.counter("uniformization.widenings"), 0u);
@@ -230,15 +227,17 @@ TEST_F(EngineFallback, WidenWPolicyDoesNotThrowAndKeepsTheTruthEnclosed) {
 }
 
 TEST_F(EngineFallback, AutoStarvedRunDiscretizesUpFrontWithoutThrowing) {
-  // The up-front cost model sees live * levels > max_nodes before exploring
-  // anything and goes straight to discretization (no impulse rewards,
-  // degradation allowed) — no NodeBudgetError is ever raised and the choice
-  // is recorded.
+  // An impulse-free model takes the same budget chain as any other: the
+  // class DP exhausts the starved budget, and one adapted-step
+  // discretization sweep answers both live starts without a
+  // NodeBudgetError reaching the caller.
   const core::Mrm model = make_cycle();
   const CheckerOptions options = starved(BudgetPolicy::kFallbackToDiscretization);
   const auto values =
       until_probabilities(model, kPhi, kPsi, logic::up_to(1.0), logic::up_to(10.0), options);
-  EXPECT_GE(obs::StatsRegistry::global().counter("engine.auto_choice.discretization"), 1u);
+  const auto& registry = obs::StatsRegistry::global();
+  EXPECT_EQ(registry.counter("classdp.calls"), 1u);
+  EXPECT_EQ(registry.counter("uniformization.fallbacks"), 2u);
 
   CheckerOptions disc;
   disc.until_method = UntilMethod::kDiscretization;
@@ -251,41 +250,13 @@ TEST_F(EngineFallback, AutoStarvedRunDiscretizesUpFrontWithoutThrowing) {
 }
 
 TEST_F(EngineFallback, AutoUnderThrowPolicyFailsLoudlyInsteadOfDegrading) {
-  // kThrow disables every degradation, including the up-front method
-  // switch: the starved run must still raise the typed budget error.
+  // kThrow disables every degradation: the starved run must raise the
+  // typed budget error.
   const core::Mrm model = make_cycle();
   const CheckerOptions options = starved(BudgetPolicy::kThrow);
   EXPECT_THROW(
       until_probabilities(model, kPhi, kPsi, logic::up_to(1.0), logic::up_to(10.0), options),
       numeric::NodeBudgetError);
-}
-
-TEST(AutoEngineChooser, AmpleBudgetPicksClassDpWithTheHybridArmed) {
-  // Uniformization always runs the class DP with its hybrid armed, so the
-  // method is the whole choice.
-  const core::Mrm model = make_cycle();
-  const CheckerOptions options;  // defaults: generous budget
-  const AutoEngineChoice choice = choose_until_method(model, 1.0, options);
-  EXPECT_EQ(choice.method, UntilMethod::kUniformization);
-  EXPECT_EQ(choice.live_states, 3u);
-  EXPECT_GT(choice.poisson_levels, 0u);
-}
-
-TEST(AutoEngineChooser, ProvablyOverBudgetPicksDiscretizationUnlessThrowing) {
-  const core::Mrm model = make_cycle();
-  CheckerOptions options;
-  options.uniformization.max_nodes = 5;
-  const AutoEngineChoice degrading = choose_until_method(model, 1.0, options);
-  EXPECT_EQ(degrading.method, UntilMethod::kDiscretization);
-
-  options.on_budget_exhausted = BudgetPolicy::kThrow;
-  const AutoEngineChoice throwing = choose_until_method(model, 1.0, options);
-  EXPECT_EQ(throwing.method, UntilMethod::kUniformization);
-
-  // Impulse rewards rule the up-front switch out as well.
-  options.on_budget_exhausted = BudgetPolicy::kFallbackToDiscretization;
-  EXPECT_EQ(choose_until_method(make_impulse_cycle(), 1.0, options).method,
-            UntilMethod::kUniformization);
 }
 
 TEST(EngineBoundaries, ZeroTimeHorizonIsTheIndicatorOfPsiOnBothEngines) {

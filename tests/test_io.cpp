@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -217,8 +218,7 @@ class MrmcheckCli : public ::testing::Test {
   /// rewards keep the discretization fallback feasible; state 1's P2 value
   /// for "a U[0,1][0,10] b" is 1 - 2/e ~ 0.2584, so thresholds near 0.26 sit
   /// inside any coarse engine's error band. `with_impulse` adds an integral
-  /// impulse of 1 on 1 -> 2, which keeps the up-front discretization rule
-  /// (impulse-free models only) out of play.
+  /// impulse of 1 on 1 -> 2.
   std::string write_cycle_model(bool with_impulse = false) const {
     const auto write = [&](const char* name, const char* text) {
       std::ofstream out(directory_ / name);
@@ -505,46 +505,62 @@ TEST_F(MrmcheckCli, StrictExitsThreeWhenTheIntervalStraddlesTheThreshold) {
 TEST_F(MrmcheckCli, NodeBudgetExhaustionFallsBackInsteadOfFailing) {
   const std::string cycle = write_cycle_model();
   const std::string stats_file = (directory_ / "fallback_stats.json").string();
-  // Budget of 5 nodes cannot explore the cycle. With an impulse reward the
-  // up-front rule cannot sidestep the exhaustion (see below for the
-  // impulse-free model), so the class DP hits the budget mid-flight: the
-  // checker must fall back to discretization, still exit 0, and record the
-  // degradation in the stats JSON.
-  ASSERT_EQ(run(write_cycle_model(/*with_impulse=*/true) + " u=1e-12 --max-nodes=5 --stats='" +
-                stats_file + "' NP 'P(>=0.5)[a U[0,1][0,10] b]'"),
-            0);
-  std::ifstream in(stats_file);
-  ASSERT_TRUE(in.is_open());
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const obs::JsonValue stats = obs::parse_json(buffer.str());
-  const obs::JsonValue* counters = stats.find("counters");
-  ASSERT_NE(counters, nullptr);
-  const obs::JsonValue* fallbacks = counters->find("uniformization.fallbacks");
-  ASSERT_NE(fallbacks, nullptr);
-  EXPECT_GE(fallbacks->as_number(), 1.0);
-  // On the impulse-free cycle the cost model sees the starved budget before
-  // exploring anything, goes straight to discretization, and records that
-  // choice.
-  const std::string auto_stats_file = (directory_ / "auto_stats.json").string();
-  ASSERT_EQ(run(cycle + " u=1e-12 --max-nodes=5 --stats='" + auto_stats_file +
-                "' NP 'P(>=0.5)[a U[0,1][0,10] b]'"),
-            0);
-  std::ifstream auto_in(auto_stats_file);
-  ASSERT_TRUE(auto_in.is_open());
-  std::ostringstream auto_buffer;
-  auto_buffer << auto_in.rdbuf();
-  const obs::JsonValue auto_stats = obs::parse_json(auto_buffer.str());
-  const obs::JsonValue* auto_counters = auto_stats.find("counters");
-  ASSERT_NE(auto_counters, nullptr);
-  const obs::JsonValue* chose = auto_counters->find("engine.auto_choice.discretization");
-  ASSERT_NE(chose, nullptr);
-  EXPECT_GE(chose->as_number(), 1.0);
+  // Budget of 5 nodes cannot explore the cycle: the class DP hits the
+  // budget mid-flight, and the checker must fall back to discretization,
+  // still exit 0, and record the degradation in the stats JSON — with and
+  // without an impulse reward on the model.
+  for (const bool with_impulse : {true, false}) {
+    ASSERT_EQ(run(write_cycle_model(with_impulse) + " u=1e-12 --max-nodes=5 --stats='" +
+                  stats_file + "' NP 'P(>=0.5)[a U[0,1][0,10] b]'"),
+              0);
+    std::ifstream in(stats_file);
+    ASSERT_TRUE(in.is_open());
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    const obs::JsonValue stats = obs::parse_json(buffer.str());
+    const obs::JsonValue* counters = stats.find("counters");
+    ASSERT_NE(counters, nullptr);
+    const obs::JsonValue* fallbacks = counters->find("uniformization.fallbacks");
+    ASSERT_NE(fallbacks, nullptr) << "impulse: " << with_impulse;
+    EXPECT_GE(fallbacks->as_number(), 1.0) << "impulse: " << with_impulse;
+  }
   // With the throw policy the same starved run fails loudly instead — the
   // checker never degrades behind a kThrow user's back.
   EXPECT_EQ(run(cycle + " u=1e-12 --max-nodes=5 --fallback=throw NP "
                         "'P(>=0.5)[a U[0,1][0,10] b]'"),
             1);
+}
+
+TEST_F(MrmcheckCli, LongHorizonQueriesReturnAtOnce) {
+  // No Lambda*t-linear work before a trivial answer: --explain compiles
+  // without touching the Poisson distribution, the P2 queries are cut at
+  // the class DP's level 0, and the P1 / R[C] series refuse a Poisson table
+  // past its size limit before allocating it (exit 1, naming Lambda*t).
+  const std::string models = CSRLMRM_EXAMPLE_MODELS_DIR;
+  const std::string cellphone = "'" + models + "/cellphone.tra' '" + models +
+                                "/cellphone.lab' '" + models + "/cellphone.rewr' '" + models +
+                                "/cellphone.rewi'";
+  const auto timed = [&](const std::string& arguments, std::string* error = nullptr) {
+    const auto start = std::chrono::steady_clock::now();
+    const int status = run(arguments, error);
+    EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count(),
+              1.0)
+        << arguments;
+    return status;
+  };
+  for (const char* t : {"1e9", "1e12"}) {
+    const std::string formula = std::string(" 'P(>0.1)[Sup U[0,") + t + "][0,3000] failed]'";
+    EXPECT_EQ(timed(model_args_ + " --explain" + formula), 0) << t;
+    EXPECT_EQ(timed(model_args_ + " NP" + formula), 0) << t;
+  }
+  EXPECT_EQ(timed(cellphone + " NP 'P(>0.5)[(Call_Idle || Doze) U[0,6e8][0,1000] "
+                              "Call_Initiated]'"),
+            0);
+  for (const char* formula : {" 'P(>0.1)[Sup U[0,1e12] failed]'", " 'R(<1e300)[C[0,1e12]]'"}) {
+    std::string error;
+    EXPECT_EQ(timed(model_args_ + " NP" + formula, &error), 1) << formula;
+    EXPECT_NE(error.find("Lambda*t"), std::string::npos) << error;
+  }
 }
 
 TEST_F(MrmcheckCli, FormulasBatchIsolatesPerFormulaFailures) {

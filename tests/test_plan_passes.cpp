@@ -9,14 +9,12 @@
 #include <vector>
 
 #include "logic/parser.hpp"
-#include "models/random_mrm.hpp"
 #include "models/tmr.hpp"
 #include "numeric/conditional.hpp"
 #include "obs/stats.hpp"
 #include "plan/batch.hpp"
 #include "plan/compiler.hpp"
 #include "plan/executor.hpp"
-#include "reference_checker.hpp"
 
 namespace csrlmrm {
 namespace {
@@ -65,16 +63,12 @@ TEST_F(PlanPasses, CseDedupCountsPinnedOnTmrBatch) {
   // re-finds the two label sets.
   EXPECT_EQ(compiled.cse_hits, 5u);
   EXPECT_EQ(compiled.transforms_hoisted, 1u);  // second until reuses the transform
-  // Only the P2-class (time-reward) until is engine-eligible; the time-only
-  // variant runs the fixed P1 uniformization path with no engine choice.
-  EXPECT_EQ(compiled.engines_pinned, 1u);
 
   // The same numbers flow into the global counters (what `--stats` reports).
   const auto& registry = obs::StatsRegistry::global();
   EXPECT_EQ(registry.counter("plan.cse.hits"), compiled.cse_hits);
   EXPECT_EQ(registry.counter("plan.ops"), compiled.ops.size());
   EXPECT_EQ(registry.counter("plan.transforms.hoisted"), compiled.transforms_hoisted);
-  EXPECT_EQ(registry.counter("plan.engines.pinned"), compiled.engines_pinned);
   EXPECT_EQ(registry.counter("plan.compile.calls"), 1u);
 
   // The shared until solve is referenced by both compare ops.
@@ -135,92 +129,11 @@ TEST_F(PlanPasses, HoistedTransformSharesOmegaEvaluatorsAcrossSolves) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-selection pass (cost model)
+// Engine dispatch
 // ---------------------------------------------------------------------------
 
-// The compile-time annotation must be the decision the runtime path
-// records: on the TMR bench model the cost model keeps uniformization (the
-// class DP with its hybrid armed), and a reference check bumps exactly that
-// counter.
-TEST_F(PlanPasses, CostModelPinMatchesRuntimeAutoChoiceOnTmr) {
-  const core::Mrm model = models::make_tmr();
-  const auto batch = parse_batch({"P(>0.1)[Sup U[0,100][0,3000] failed]"});
-  checker::CheckerOptions options;
-  const plan::Plan compiled = plan::compile(model, batch, options);
-
-  const plan::PlanOp* until = nullptr;
-  for (const auto& op : compiled.ops) {
-    if (op.kind == plan::OpKind::kUntilSolve) until = &op;
-  }
-  ASSERT_NE(until, nullptr);
-  ASSERT_TRUE(until->engine_known);
-  EXPECT_EQ(until->engine_choice.method, checker::UntilMethod::kUniformization);
-
-  obs::StatsRegistry::global().reset();
-  oracle::ReferenceChecker direct(model, options);
-  direct.verdicts(batch[0]);
-  const auto& registry = obs::StatsRegistry::global();
-  EXPECT_EQ(registry.counter("engine.auto_choice.classdp"), 1u);
-  EXPECT_EQ(registry.counter("engine.auto_choice.dfpg"), 0u);
-  EXPECT_EQ(registry.counter("engine.auto_choice.discretization"), 0u);
-}
-
-// Same regression on the 11-module NMR calibration (Tables 5.5/5.7): more
-// states, same verdict — class-DP stays within budget at the table horizons.
-TEST_F(PlanPasses, CostModelPinMatchesRuntimeAutoChoiceOnNmr) {
-  const core::Mrm model = models::make_tmr(models::chapter5_nmr_config());
-  const auto batch = parse_batch({"P(>0.1)[Sup U[0,100][0,3000] failed]"});
-  checker::CheckerOptions options;
-  const plan::Plan compiled = plan::compile(model, batch, options);
-  const plan::PlanOp* until = nullptr;
-  for (const auto& op : compiled.ops) {
-    if (op.kind == plan::OpKind::kUntilSolve) until = &op;
-  }
-  ASSERT_NE(until, nullptr);
-  ASSERT_TRUE(until->engine_known);
-  EXPECT_EQ(until->engine_choice.method, checker::UntilMethod::kUniformization);
-  EXPECT_GT(until->engine_choice.live_states, 0u);
-  EXPECT_GT(until->engine_choice.poisson_levels, 0u);
-
-  obs::StatsRegistry::global().reset();
-  oracle::ReferenceChecker direct(model, options);
-  direct.verdicts(batch[0]);
-  EXPECT_EQ(obs::StatsRegistry::global().counter("engine.auto_choice.classdp"), 1u);
-}
-
-// An impulse-free model with a starved node budget under a degrading policy:
-// the cost model provably skips to discretization, and the prediction must
-// agree.
-TEST_F(PlanPasses, CostModelPredictsDiscretizationWhenOverBudget) {
-  models::RandomMrmConfig config;
-  config.num_states = 6;
-  config.impulse_probability = 0.0;
-  const core::Mrm model = models::make_random_mrm(7, config);
-  checker::CheckerOptions options;
-  options.uniformization.max_nodes = 1;  // guaranteed over budget
-  options.on_budget_exhausted = checker::BudgetPolicy::kFallbackToDiscretization;
-  const checker::AutoEngineChoice choice = checker::choose_until_method(model, 10.0, options);
-  EXPECT_EQ(choice.method, checker::UntilMethod::kDiscretization);
-  // The over-budget decision reports the inputs that proved it.
-  EXPECT_GT(choice.live_states * choice.poisson_levels, options.uniformization.max_nodes);
-
-  // The plan compiler annotates exactly that decision. With Phi = tt and
-  // Psi = ff nothing is made absorbing, so the transformed model is `model`.
-  const auto batch = parse_batch({"P(>0.1)[tt U[0,10][0,3] ff]"});
-  const plan::Plan compiled = plan::compile(model, batch, options);
-  const plan::PlanOp* until = nullptr;
-  for (const auto& op : compiled.ops) {
-    if (op.kind == plan::OpKind::kUntilSolve) until = &op;
-  }
-  ASSERT_NE(until, nullptr);
-  ASSERT_TRUE(until->engine_known);
-  EXPECT_EQ(until->engine_choice.method, checker::UntilMethod::kDiscretization);
-  EXPECT_EQ(until->engine_choice.live_states, choice.live_states);
-  EXPECT_EQ(until->engine_choice.poisson_levels, choice.poisson_levels);
-}
-
-// Executing a plan applies the method rule at run time, exactly like a
-// direct check, so the choice is counted on the plan path too.
+// A P2 until runs the engine the options name: uniformization is one
+// class-DP batch and no discretization sweep.
 TEST_F(PlanPasses, PlanExecutionCountsTheAutoChoice) {
   const core::Mrm model = models::make_tmr();
   const auto batch = parse_batch({"P(>0.1)[Sup U[0,100][0,3000] failed]"});
@@ -229,8 +142,8 @@ TEST_F(PlanPasses, PlanExecutionCountsTheAutoChoice) {
   obs::StatsRegistry::global().reset();
   plan::execute(compiled, model);
   const auto& registry = obs::StatsRegistry::global();
-  EXPECT_EQ(registry.counter("engine.auto_choice.classdp"), 1u);
-  EXPECT_EQ(registry.counter("engine.auto_choice.discretization"), 0u);
+  EXPECT_EQ(registry.counter("classdp.calls"), 1u);
+  EXPECT_EQ(registry.counter("discretization.calls"), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -203,7 +203,7 @@ TEST_P(RandomModelInvariants, BackwardTimeBoundedUntilLiesInForwardEnclosure) {
       EXPECT_EQ(values[s].probability, 1.0);
       continue;
     }
-    // Fox-Glynn truncation only loses mass: the truth is in [p, p + eps].
+    // Poisson truncation only loses mass: the truth is in [p, p + eps].
     EXPECT_GE(values[s].bound.lower, forward[s] - kRounding) << "state " << s;
     EXPECT_LE(values[s].bound.upper, forward[s] + epsilon + kRounding) << "state " << s;
   }

@@ -104,6 +104,21 @@ TEST(RewardOperator, LongRunCheckOnTmr) {
   EXPECT_TRUE(test::check_one(model, "R(<8.2)[S]").sat[0]);
 }
 
+TEST(RewardOperator, CumulativeBoundHoldsTheValueAtALongHorizon) {
+  // TMR R[C[0,1e5]] (Lambda t = 5050) against a 50-digit matrix exponential
+  // of the generator augmented by the gain rates. The series lands ~6e-8
+  // above the value, outside a one-sided [v, v + eps t max gain] band, so
+  // the bound must carry the series' rounding on both sides.
+  const core::Mrm model = models::make_tmr(models::TmrConfig{});
+  const auto result = test::check_one(model, "R(<1e300)[C[0,100000]]");
+  ASSERT_TRUE(result.has_bounds);
+  const double truth[] = {803087.0394155564267886668, 803129.7751002393259099259};
+  for (core::StateIndex s = 0; s < 2; ++s) {
+    EXPECT_TRUE(result.bounds[s].contains(truth[s])) << result.bounds[s].to_string();
+    EXPECT_LT(result.bounds[s].width(), 1e-4) << result.bounds[s].to_string();
+  }
+}
+
 TEST(RewardOperator, NestsInsideBooleanFormulas) {
   const core::Mrm model = models::make_wavelan();
   // Long-run power above 100 mW and eventually-busy almost surely.

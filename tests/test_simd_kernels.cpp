@@ -145,7 +145,7 @@ TEST_P(SimdKernels, ScaleMatchesTheScalarSpellingBitwiseIncludingAliased) {
 TEST_P(SimdKernels, FillAffineMatchesTheScalarSpellingBitwise) {
   const std::uint32_t seed = GetParam();
   const std::vector<double> data = harvest(make_model(seed));
-  // The Poisson table use: first is a Fox-Glynn left truncation point,
+  // The Poisson table use: first is the first tabulated index,
   // scale a log(lambda)-like value, offset a negative log-normalizer.
   const std::size_t firsts[] = {0, 1, seed % 97, 12345};
   const double scale = data[(seed + 2) % data.size()];

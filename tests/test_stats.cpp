@@ -38,7 +38,7 @@ using StatsJson = ::testing::Test;
 
 TEST_F(StatsJson, RoundTripPreservesStructure) {
   obs::JsonValue object = obs::JsonValue::object();
-  object.set("name", obs::JsonValue(std::string("fox_glynn")));
+  object.set("name", obs::JsonValue(std::string("poisson_table")));
   object.set("calls", obs::JsonValue(42.0));
   object.set("ratio", obs::JsonValue(0.125));
   object.set("flag", obs::JsonValue(true));
@@ -51,7 +51,7 @@ TEST_F(StatsJson, RoundTripPreservesStructure) {
   const std::string text = obs::write_json(object);
   const obs::JsonValue parsed = obs::parse_json(text);
   ASSERT_TRUE(parsed.is_object());
-  EXPECT_EQ(parsed.at("name").as_string(), "fox_glynn");
+  EXPECT_EQ(parsed.at("name").as_string(), "poisson_table");
   EXPECT_DOUBLE_EQ(parsed.at("calls").as_number(), 42.0);
   EXPECT_DOUBLE_EQ(parsed.at("ratio").as_number(), 0.125);
   EXPECT_TRUE(parsed.at("flag").as_bool());

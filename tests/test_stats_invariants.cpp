@@ -1,8 +1,8 @@
 // Property test: the statistics the engines report must satisfy the
 // structural invariants they advertise, on a family of random MRMs — visited
-// paths dominate truncated paths, Fox-Glynn windows are ordered, and solver
-// iteration counters match the solver's own result. Suites are named Stats*
-// so the tsan suite picks them up.
+// paths dominate truncated paths, the Poisson right edge bounds the series,
+// and solver iteration counters match the solver's own result. Suites are
+// named Stats* so the tsan suite picks them up.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -74,7 +74,7 @@ TEST_P(StatsInvariants, VisitedPathsDominateTruncatedPaths) {
             static_cast<std::uint64_t>(model.num_states()));
 }
 
-TEST_P(StatsInvariants, FoxGlynnWindowIsOrdered) {
+TEST_P(StatsInvariants, PoissonRightEdgeBoundsTheSeries) {
   const core::Mrm model = make_model();
   std::vector<bool> phi(model.num_states(), true);
   // A singleton psi: a universal psi (some seeds label every state "a")
@@ -83,20 +83,19 @@ TEST_P(StatsInvariants, FoxGlynnWindowIsOrdered) {
   psi[GetParam() % model.num_states()] = true;
 
   // Time-bounded until without a reward bound runs the P1 transient path,
-  // which selects its Poisson window with Fox-Glynn.
+  // which sums the Poisson table's masses up to its right edge.
   const auto values = checker::until_probabilities(model, phi, psi, logic::up_to(2.0),
                                                    logic::Interval{});
   ASSERT_EQ(values.size(), model.num_states());
 
   const auto& registry = obs::StatsRegistry::global();
-  ASSERT_GE(registry.counter("fox_glynn.calls"), 1u);
-  const double left = registry.gauge("fox_glynn.left");
-  const double right = registry.gauge("fox_glynn.right");
-  EXPECT_GE(left, 0.0);
-  EXPECT_GE(right, left);
-  ASSERT_GE(registry.counter("transient.calls"), 1u);
-  // Each series ran one term per Poisson index in [0, right].
-  EXPECT_GE(registry.counter("transient.series_terms"), right);
+  ASSERT_GE(registry.counter("poisson.tables"), 1u);
+  const double right = registry.gauge("poisson.right");
+  EXPECT_GE(right, 0.0);
+  ASSERT_EQ(registry.counter("transient.calls"), 1u);
+  // Without steady-state detection the one series runs one term per Poisson
+  // index in [0, right].
+  EXPECT_EQ(static_cast<double>(registry.counter("transient.series_terms")), right + 1.0);
 }
 
 TEST_P(StatsInvariants, SolverCountersMatchSolverResult) {

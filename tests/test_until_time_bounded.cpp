@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "checker/until.hpp"
+#include "models/tmr.hpp"
 #include "models/wavelan.hpp"
 
 namespace csrlmrm::checker {
@@ -56,6 +57,71 @@ TEST(TimeBoundedUntil, TwoStepErlangReachability) {
                                           logic::up_to(t), Interval{});
   const double erlang2 = 1.0 - std::exp(-mu * t) * (1.0 + mu * t);
   EXPECT_NEAR(values[0].probability, erlang2, 1e-9);
+}
+
+TEST(TimeBoundedUntil, TruncatedIntervalHoldsTheMassBeforeTheSecondJump) {
+  // 0 -> 1 -> 2 at rate 1, target 2: P = 1 - Pr{N_32 <= 1} = 1 - 33 e^{-32}
+  // = 1 - 4.18e-13, inside the epsilon = 1e-12 band. A series that drops
+  // the small masses on the left and renormalizes what it keeps reports
+  // exactly 1 and misses it; summing the raw masses keeps the truth inside
+  // [p, p + epsilon].
+  core::RateMatrixBuilder rates(3);
+  rates.add(0, 1, 1.0);
+  rates.add(1, 2, 1.0);
+  const core::Mrm model(core::Ctmc(rates.build(), core::Labeling(3)),
+                        std::vector<double>(3, 0.0));
+  CheckerOptions options;
+  options.transient.epsilon = 1e-12;
+  const auto values = until_probabilities(model, std::vector<bool>(3, true), mask(3, {2}),
+                                          logic::up_to(32.0), Interval{}, options);
+  const double truth = 1.0 - 33.0 * std::exp(-32.0);
+  EXPECT_LE(values[0].bound.lower, truth) << values[0].bound.to_string();
+  EXPECT_GE(values[0].bound.upper, truth) << values[0].bound.to_string();
+}
+
+TEST(TimeBoundedUntil, LongHorizonIntervalsHoldTheTruthDespiteRounding) {
+  // TMR at t = 1e5 (Lambda t = 5050) and t = 1e6 (Lambda t = 50500), states
+  // 0 and 1, against 40-digit uniformization: 0.99996686492437859716 and
+  // 0.99996712584666406947, then 1 - O(1e-20), which is 1 in double. Over
+  // tens of thousands of products the
+  // series' rounding (~5e-14 at t = 1e6) exceeds what epsilon leaves after
+  // the truncation, so the interval must carry the rounding bound.
+  const core::Mrm model = models::make_tmr();
+  const auto sup = model.labels().states_with("Sup");
+  const auto failed = model.labels().states_with("failed");
+  struct Case {
+    double t;
+    double truth[2];
+  };
+  const Case cases[] = {{1e5, {0.99996686492437859716, 0.99996712584666406947}},
+                        {1e6, {1.0, 1.0}}};
+  for (const auto& [t, truths] : cases) {
+    const auto values = until_probabilities(model, sup, failed, logic::up_to(t), Interval{});
+    for (core::StateIndex s = 0; s < 2; ++s) {
+      const double truth = truths[s];
+      EXPECT_LE(values[s].bound.lower, truth) << "t=" << t << " " << values[s].bound.to_string();
+      EXPECT_GE(values[s].bound.upper, truth) << "t=" << t << " " << values[s].bound.to_string();
+      // The bound grows with Lambda t but stays far from vacuous.
+      EXPECT_LT(values[s].bound.width(), 1e-10) << "t=" << t;
+    }
+  }
+}
+
+TEST(TimeBoundedUntil, RoundingBoundKeepsShortHorizonIntervalsEpsilonWide) {
+  // At the paper's horizons (TMR t = 100, Lambda t = 5) the rounding bound
+  // is carved out of epsilon: the interval stays epsilon wide and holds
+  // the lost mass below p plus the rounding on both sides.
+  const core::Mrm model = models::make_tmr();
+  CheckerOptions options;
+  options.transient.epsilon = 1e-12;
+  const auto values = until_probabilities(model, model.labels().states_with("Sup"),
+                                          model.labels().states_with("failed"),
+                                          logic::up_to(100.0), Interval{}, options);
+  for (core::StateIndex s = 0; s < 2; ++s) {
+    EXPECT_NEAR(values[s].bound.width(), 1e-12, 1e-16) << values[s].bound.to_string();
+    EXPECT_LT(values[s].bound.lower, values[s].probability);
+    EXPECT_LE(values[s].error_bound, 1e-12);
+  }
 }
 
 TEST(TimeBoundedUntil, PsiAbsorptionFreezesSuccess) {

@@ -29,7 +29,7 @@ TEST(ProbabilityBound, FromPointErrorClampsToUnitInterval) {
 }
 
 TEST(ProbabilityBound, TruncatingEnginesAreOneSided) {
-  // Fox-Glynn / DFPG truncation only loses mass: the truth lies above the
+  // Poisson-series / class-DP truncation only loses mass: the truth lies above the
   // computed value.
   const auto bound = ProbabilityBound::from_point_error(0.4, 0.0, 1e-3);
   EXPECT_DOUBLE_EQ(bound.lower, 0.4);
